@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: kernelize, solve, verify, gen.  Exit codes: 0 success/yes,
-1 no/verify-fail, 2 format error, 3 precondition error.
+1 no/verify-fail, 2 format error, 3 precondition error, 4 internal error
+(a failed consistency check, which is a bug; `verify` reports a trace
+that fails one as FAIL with exit 1 instead).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_FORMAT = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -141,6 +144,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -88,20 +88,27 @@ def _record_to_obj(rec: ReductionRecord) -> dict:
     }
 
 
+def _int(value) -> int:
+    """A JSON integer; JSON true is a bool, not an id or a count."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _record_from_obj(obj: dict) -> ReductionRecord:
     try:
-        s = frozenset(obj["s"])
-        l = frozenset(obj["l"])
-        tree = SpanningTree(s | l, [tuple(e) for e in obj["bsl_tree"]])
+        s = frozenset(map(_int, obj["s"]))
+        l = frozenset(map(_int, obj["l"]))
+        tree = SpanningTree(s | l, [(_int(u), _int(v)) for u, v in obj["bsl_tree"]])
         return ReductionRecord(
             s=s,
             l=l,
-            v_s=obj["v_s"],
-            v_l=obj["v_l"],
-            neighbor_map=frozenset(obj["neighbor_map"]),
-            index_map={old: new for old, new in obj["index_map"]},
+            v_s=_int(obj["v_s"]),
+            v_l=_int(obj["v_l"]),
+            neighbor_map=frozenset(map(_int, obj["neighbor_map"])),
+            index_map={_int(old): _int(new) for old, new in obj["index_map"]},
             bsl_tree=tree,
-            delta_k=obj["delta_k"],
+            delta_k=_int(obj["delta_k"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad reduction record: {exc}") from None
@@ -124,13 +131,18 @@ def trace_from_json(text: str):
     """Parse a trace document; returns (meta dict, list of ReductionRecords)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"trace is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != TRACE_FORMAT:
         raise FormatError("not a recognized trace document")
-    records = [_record_from_obj(o) for o in doc.get("reductions", [])]
+    if not isinstance(doc.get("reductions"), list):
+        raise FormatError("trace reductions must be a list")
+    records = [_record_from_obj(o) for o in doc["reductions"]]
     meta = {k: doc.get(k) for k in
             ("k_original", "outcome", "k_prime", "kernel_vertices", "kernel_edges")}
+    for key in ("k_original", "k_prime", "kernel_vertices", "kernel_edges"):
+        if meta[key] is not None and type(meta[key]) is not int:
+            raise FormatError(f"trace field {key} must be an integer or null")
     return meta, records
 
 

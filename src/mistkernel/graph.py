@@ -321,24 +321,45 @@ def _augment(adj: dict, left_order) -> dict:
 
     `adj` maps each left vertex to an ascending tuple of right vertices.
     Left vertices are scanned in the given order; returns {left: right}.
+    The depth-first search for an augmenting path keeps an explicit stack,
+    so path length is not bounded by the recursion limit.
     """
     match_left: dict = {}
     match_right: dict = {}
-
-    def try_augment(u, seen):
-        for w in adj[u]:
-            if w in seen:
+    for root in left_order:
+        if root in match_left:
+            continue
+        nbrs = adj[root]
+        # The search tries the root's first neighbor first; when it is free
+        # (the common case) match it without building the search state.
+        if nbrs and nbrs[0] not in match_right:
+            match_left[root] = nbrs[0]
+            match_right[nbrs[0]] = root
+            continue
+        seen = set()
+        # stack[i] is a left vertex with the iterator over its remaining
+        # neighbors; path[i] is the right vertex stack[i] currently tries.
+        stack = [(root, iter(nbrs))]
+        path: list = []
+        while stack:
+            for w in stack[-1][1]:
+                if w not in seen:
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             seen.add(w)
-            if w not in match_right or try_augment(match_right[w], seen):
+            path.append(w)
+            if w in match_right:
+                u = match_right[w]
+                stack.append((u, iter(adj[u])))
+                continue
+            for (u, _), w in zip(stack, path):
                 match_left[u] = w
                 match_right[w] = u
-                return True
-        return False
-
-    for u in left_order:
-        if u not in match_left:
-            try_augment(u, set())
+            break
     return match_left
 
 

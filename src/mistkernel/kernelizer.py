@@ -10,7 +10,7 @@ graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .expansion import find_expansion_2
 from .graph import (
@@ -39,15 +39,14 @@ from .hypermatroid import (
 class SLCertificate:
     """A certified pair (S, L) with its special spanning tree of B(S, L).
 
-    `tree` spans S ∪ L with every S-vertex internal and exactly |S| - 1
-    L-vertices internal; `pre_tree` is the intermediate tree in which every
-    L-vertex still has degree at most 2, kept for auditing.
+    N(L) = S, L is independent, and `tree` uses only S-L edges of the host
+    graph, spans S ∪ L, and has every S-vertex and exactly |S| - 1
+    L-vertices internal.  validate_certificate checks all of this.
     """
 
     s: frozenset
     l: frozenset
     tree: SpanningTree
-    pre_tree: SpanningTree
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,6 @@ class ReductionRecord:
     index_map: dict
     bsl_tree: SpanningTree
     delta_k: int
-    certificate: SLCertificate | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -207,9 +205,9 @@ def _tree_path_first_edge(edges, u, v):
 
 def validate_certificate(g: Graph, cert: SLCertificate) -> None:
     """Check every invariant of an (S, L) certificate; raise InvariantError."""
-    s, l = cert.s, cert.l
-    if not s or not l:
-        raise InvariantError("S and L must be nonempty")
+    s, l, tree = cert.s, cert.l, cert.tree
+    if not s or not l or (s | l) - set(range(g.n)):
+        raise InvariantError("S and L must be nonempty sets of vertices of the graph")
     if s & l:
         raise InvariantError("S and L overlap")
     for u, v in g.edges:
@@ -217,19 +215,14 @@ def validate_certificate(g: Graph, cert: SLCertificate) -> None:
             raise InvariantError("L is not independent")
     if g.neighborhood(l) != s:
         raise InvariantError("N(L) differs from S")
-    for t, label in ((cert.tree, "tree"), (cert.pre_tree, "pre_tree")):
-        if t.vertices != s | l:
-            raise InvariantError(f"{label} does not span S ∪ L")
-        for a, b in t.edges:
-            if not g.has_edge(a, b):
-                raise InvariantError(f"{label} uses a non-edge of the host graph")
-            if (a in s) == (b in s):
-                raise InvariantError(f"{label} edge does not cross between S and L")
-    if any(cert.pre_tree.degree(w) > 2 for w in l):
-        raise InvariantError("pre_tree gives an L-vertex degree above 2")
-    if any(cert.tree.degree(v) < 2 for v in s):
+    if tree.vertices != s | l:
+        raise InvariantError("tree does not span S ∪ L")
+    for a, b in tree.edges:
+        if not g.has_edge(a, b) or (a in s) == (b in s):
+            raise InvariantError("tree edge is not an S-L edge of the graph")
+    if any(tree.degree(v) < 2 for v in s):
         raise InvariantError("an S-vertex is a leaf of the certificate tree")
-    if internal_count(cert.tree, l) != len(s) - 1:
+    if internal_count(tree, l) != len(s) - 1:
         raise InvariantError("internal L-vertex count differs from |S| - 1")
 
 
@@ -257,13 +250,12 @@ def find_sl(g: Graph, independent) -> SLCertificate:
     while True:
         kind, payload = _degree2_tree_or_descend(g, s_cur, l_cur)
         if kind == "tree":
-            pre_tree = payload
             break
         s_cur, l_cur = payload
-    tree = _promote_s_leaves(g, s_cur, l_cur, pre_tree)
-    cert = SLCertificate(
-        s=frozenset(s_cur), l=frozenset(l_cur), tree=tree, pre_tree=pre_tree
-    )
+    if any(payload.degree(w) > 2 for w in l_cur):
+        raise InvariantError("B(S, L) tree gives an L-vertex degree above 2")
+    tree = _promote_s_leaves(g, s_cur, l_cur, payload)
+    cert = SLCertificate(s=frozenset(s_cur), l=frozenset(l_cur), tree=tree)
     validate_certificate(g, cert)
     return cert
 
@@ -272,18 +264,14 @@ def find_sl(g: Graph, independent) -> SLCertificate:
 # Rule 3 surgery, replay and lifting
 
 
-def apply_rule3(g: Graph, k: int, cert: SLCertificate):
-    """Replace S ∪ L by two fresh vertices; returns (G_R, k', record).
-
-    The new vertex v_S inherits the outside neighborhood N(S) \\ L, v_L is a
-    pendant on v_S, and the target drops to k' = k - 2|S| + 2.
-    """
-    s, l = cert.s, cert.l
+def _contract(g: Graph, s, l):
+    """The Rule-3 graph: S ∪ L becomes v_S, adjacent to N(S) \\ L, plus a
+    pendant v_L on v_S.  Returns (G_R, index_map, neighbor_map); the
+    survivors keep their order, then v_S = n_R - 2 and v_L = n_R - 1."""
     removed = s | l
     survivors = sorted(set(range(g.n)) - removed)
     index_map = {old: new for new, old in enumerate(survivors)}
     v_s = len(survivors)
-    v_l = v_s + 1
     neighbor_map = g.neighborhood(s) - l
     edges = [
         (index_map[u], index_map[v])
@@ -291,64 +279,45 @@ def apply_rule3(g: Graph, k: int, cert: SLCertificate):
         if u not in removed and v not in removed
     ]
     edges.extend((index_map[u], v_s) for u in neighbor_map)
-    edges.append((v_s, v_l))
-    reduced = Graph(v_l + 1, edges)
+    edges.append((v_s, v_s + 1))
+    return Graph(v_s + 2, edges), index_map, neighbor_map
+
+
+def apply_rule3(g: Graph, k: int, cert: SLCertificate):
+    """Replace S ∪ L by two fresh vertices; returns (G_R, k', record).
+
+    The new vertex v_S inherits the outside neighborhood N(S) \\ L, v_L is a
+    pendant on v_S, and the target drops to k' = k - 2|S| + 2.
+    """
+    reduced, index_map, neighbor_map = _contract(g, cert.s, cert.l)
     if not is_connected(reduced):
         raise InvariantError("reduced graph is disconnected")
     record = ReductionRecord(
-        s=s,
-        l=l,
-        v_s=v_s,
-        v_l=v_l,
-        neighbor_map=frozenset(neighbor_map),
+        s=cert.s,
+        l=cert.l,
+        v_s=reduced.n - 2,
+        v_l=reduced.n - 1,
+        neighbor_map=neighbor_map,
         index_map=index_map,
         bsl_tree=cert.tree,
-        delta_k=2 * len(s) - 2,
-        certificate=cert,
+        delta_k=2 * len(cert.s) - 2,
     )
-    return reduced, k - 2 * len(s) + 2, record
+    return reduced, k - record.delta_k, record
 
 
 def replay_reduction(g: Graph, record: ReductionRecord) -> Graph:
     """Re-apply a recorded surgery to `g`, validating the record against it."""
-    s, l = record.s, record.l
-    if not s or not l or (s | l) - set(range(g.n)):
-        raise InvariantError("recorded S/L is not a vertex subset of the graph")
-    if s & l:
-        raise InvariantError("recorded S and L overlap")
-    for u, v in g.edges:
-        if u in l and v in l:
-            raise InvariantError("recorded L is not independent")
-    if g.neighborhood(l) != s:
-        raise InvariantError("recorded pair violates N(L)=S")
-    survivors = sorted(set(range(g.n)) - s - l)
-    expect_map = {old: new for new, old in enumerate(survivors)}
-    if record.index_map != expect_map:
+    validate_certificate(g, SLCertificate(record.s, record.l, record.bsl_tree))
+    reduced, index_map, neighbor_map = _contract(g, record.s, record.l)
+    if record.index_map != index_map:
         raise InvariantError("index map does not match the surviving vertices")
-    if record.v_s != len(survivors) or record.v_l != len(survivors) + 1:
+    if record.v_s != reduced.n - 2 or record.v_l != reduced.n - 1:
         raise InvariantError("fresh vertex ids are inconsistent")
-    if record.neighbor_map != g.neighborhood(s) - l:
+    if record.neighbor_map != neighbor_map:
         raise InvariantError("neighbor map differs from N(S) \\ L")
-    if record.delta_k != 2 * len(s) - 2:
+    if record.delta_k != 2 * len(record.s) - 2:
         raise InvariantError("delta_k differs from 2|S| - 2")
-    tree = record.bsl_tree
-    if tree.vertices != s | l:
-        raise InvariantError("stored tree does not span S ∪ L")
-    for a, b in tree.edges:
-        if not g.has_edge(a, b) or (a in s) == (b in s):
-            raise InvariantError("stored tree edge is not an S-L edge of the graph")
-    if any(tree.degree(v) < 2 for v in s):
-        raise InvariantError("stored tree leaves an S-vertex non-internal")
-    if internal_count(tree, l) != len(s) - 1:
-        raise InvariantError("stored tree has wrong internal L-vertex count")
-    edges = [
-        (expect_map[u], expect_map[v])
-        for u, v in g.edges
-        if u not in s and u not in l and v not in s and v not in l
-    ]
-    edges.extend((expect_map[u], record.v_s) for u in record.neighbor_map)
-    edges.append((record.v_s, record.v_l))
-    return Graph(record.v_l + 1, edges)
+    return reduced
 
 
 def lift_solution(g_original: Graph, trace, t: SpanningTree) -> SpanningTree:
@@ -433,12 +402,7 @@ def kernelize(g: Graph, k: int) -> KernelResult:
         # single DFS already settles are answered, not merely shrunk.
         t = dfs_tree(cur, 0)
         if internal_count(t) >= k_cur:
-            lifted = lift_solution(g, trace, t)
-            if internal_count(lifted) < k:
-                raise InvariantError("lifted DFS witness misses the target")
-            return KernelResult(
-                "solved", witness=lifted, k_prime=k_cur, trace=tuple(trace)
-            )
+            break
         if cur.n <= 3 * k_cur:
             return KernelResult("kernel", graph=cur, k_prime=k_cur, trace=tuple(trace))
         ind = dfs_leaf_independent_set(cur, t)
@@ -449,25 +413,25 @@ def kernelize(g: Graph, k: int) -> KernelResult:
             # rearrangement shows every spanning tree can be rewritten to have
             # exactly 2|S| - 1 internal vertices, and the certificate tree
             # attains that maximum.
-            if 2 * len(cert.s) - 1 >= k_cur:
-                lifted = lift_solution(g, trace, cert.tree)
-                if internal_count(lifted) < k:
-                    raise InvariantError("lifted certificate tree misses the target")
+            if 2 * len(cert.s) - 1 < k_cur:
                 return KernelResult(
-                    "solved", witness=lifted, k_prime=k_cur, trace=tuple(trace)
+                    "trivial_no",
+                    k_prime=k_cur,
+                    trace=tuple(trace),
+                    reason="the graph is covered by S and L, capping the internal "
+                    f"count at {2 * len(cert.s) - 1}",
                 )
-            return KernelResult(
-                "trivial_no",
-                k_prime=k_cur,
-                trace=tuple(trace),
-                reason="the graph is covered by S and L, capping the internal "
-                f"count at {2 * len(cert.s) - 1}",
-            )
+            t = cert.tree
+            break
         reduced, k_next, rec = apply_rule3(cur, k_cur, cert)
         if reduced.n >= cur.n or k_next > k_cur:
             raise InvariantError("reduction failed to make progress")
         trace.append(rec)
         cur, k_cur = reduced, k_next
+    lifted = lift_solution(g, trace, t)
+    if internal_count(lifted) < k:
+        raise InvariantError("lifted witness misses the target")
+    return KernelResult("solved", witness=lifted, k_prime=k_cur, trace=tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +463,7 @@ def rearrange_tree(g: Graph, t: SpanningTree, cert: SLCertificate) -> SpanningTr
         if pair is None:
             break
         v, w = pair
-        forest.remove(_forest_path_first_edge(forest, v, w))
+        forest.remove(_tree_path_first_edge(forest, v, w))
     edges = forest | cert.tree.edges
     comp = _components(range(g.n), edges)
     for a, b in sorted(g.edges):
@@ -532,7 +496,3 @@ def _components(vertices, edges) -> dict:
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
     return {v: find(v) for v in vertices}
-
-
-def _forest_path_first_edge(edges, u, v):
-    return _tree_path_first_edge(edges, u, v)

@@ -9,11 +9,13 @@ inclusion/exclusion with connectivity pruning.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
 from .graph import (
     Graph,
+    InvariantError,
     PreconditionError,
     SpanningTree,
     internal_count,
@@ -22,8 +24,6 @@ from .graph import (
 from .kernelizer import kernelize, lift_solution
 
 DEFAULT_MAX_N = 18
-
-_cache: dict = {}
 
 
 @dataclass(frozen=True)
@@ -169,10 +169,15 @@ def opt_internal(g: Graph) -> OptResult:
         raise PreconditionError(f"graph exceeds the oracle size guard ({guard})")
     if not is_connected(g):
         raise PreconditionError("oracle requires a connected graph")
-    key = (g.n, g.edges)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
+    return _solve(g)
+
+
+# Callers decide the same small graphs repeatedly; a long-lived process may
+# decide any number of distinct ones, so the cache is bounded.
+@functools.lru_cache(maxsize=1024)
+def _solve(g: Graph) -> OptResult:
+    """opt_internal on a connected graph that passed the size guard; equal
+    graphs share one cache entry."""
     if g.n <= 2:
         tree = SpanningTree(range(g.n), sorted(g.edges))
         result = OptResult(0, tree)
@@ -186,8 +191,7 @@ def opt_internal(g: Graph) -> OptResult:
             count, tree = _enumerate_best(g, g.n - 3)
             result = OptResult(count, tree)
     if internal_count(result.witness) != result.opt:
-        raise PreconditionError("oracle witness does not match its count")
-    _cache[key] = result
+        raise InvariantError("oracle witness does not match its count")
     return result
 
 
@@ -207,6 +211,6 @@ def decide_pist(g: Graph, k: int):
     if best.opt >= res.k_prime:
         lifted = lift_solution(g, res.trace, best.witness)
         if internal_count(lifted) < k:
-            raise PreconditionError("lifted witness misses the target")
+            raise InvariantError("lifted witness misses the target")
         return True, lifted
     return False, None

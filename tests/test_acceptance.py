@@ -17,6 +17,7 @@ from mistkernel import (
     BipartiteSubgraph,
     Graph,
     Hypergraph,
+    SLCertificate,
     border,
     decide_pist,
     deficient_partition,
@@ -206,8 +207,7 @@ def _check_trace_certificates(g, trace):
     """Validate every (S, L) certificate along a reduction trace."""
     cur = g
     for rec in trace:
-        cert = rec.certificate
-        assert cert is not None
+        cert = SLCertificate(rec.s, rec.l, rec.bsl_tree)
         validate_certificate(cur, cert)
         if len(cert.s) <= 12:
             s_sorted = sorted(cert.s)

@@ -3,8 +3,8 @@ import sys
 
 import pytest
 
-from mistkernel import Graph, is_connected
-from mistkernel.cli import main
+from mistkernel import Graph, InvariantError, is_connected
+from mistkernel.cli import EXIT_INTERNAL, main
 from mistkernel.fileformats import parse_edge_list, serialize_edge_list
 
 
@@ -120,6 +120,78 @@ class TestVerifyCmd:
             ["verify", "--graph", f, "--trace", tr, "--kernel", kg], capsys)
         assert code == 1
         assert out.startswith("FAIL")
+
+    def test_fuzzed_traces_fail_cleanly(self, tmp_path, capsys):
+        import copy
+        import json
+        import random
+
+        # two 8-leaf stars with adjacent centers reduce twice at k = 3
+        g = Graph(18, [(0, 1)] + [(0, v) for v in range(2, 10)]
+                  + [(1, v) for v in range(10, 18)])
+        f, tr, kg = self._kernelized(tmp_path, capsys, g, 3)
+        doc = json.loads(open(tr).read())
+        assert len(doc["reductions"]) == 2
+        values = [None, True, -1, 0, 1, 17, 18, 10**9, 1.5, "x", [], [[]],
+                  [-1], [0, 1], [[0, 1, 2]], {}, {"s": 0}]
+        rng = random.Random(29)
+
+        def paths(node, path=()):
+            children = node.items() if isinstance(node, dict) else (
+                enumerate(node) if isinstance(node, list) else ())
+            for key, child in children:
+                yield path + (key,)
+                yield from paths(child, path + (key,))
+
+        def mutations():
+            # every value on the header and record fields, a sample of them
+            # on the ids and tree edges inside
+            for path in paths(doc):
+                yield "delete", path, None
+                for value in values if len(path) <= 3 else rng.sample(values, 2):
+                    yield "set", path, value
+            yield "reverse", ("reductions",), None
+
+        checked = 0
+        for kind, path, value in mutations():
+            # a null or absent k is allowed: verify then skips the k' check
+            if path in (("k_original",), ("k_prime",)) and value is None:
+                continue
+            bad = copy.deepcopy(doc)
+            parent = bad
+            for key in path[:-1]:
+                parent = parent[key]
+            if kind == "set":
+                parent[path[-1]] = value
+            elif kind == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]].reverse()
+            if bad == doc:
+                continue
+            open(tr, "w").write(json.dumps(bad))
+            code, _, err = run_cli(
+                ["verify", "--graph", f, "--trace", tr, "--kernel", kg], capsys)
+            assert code in (1, 2), (kind, path, value)
+            assert "Traceback" not in err
+            checked += 1
+        assert checked > 500
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("command, target", [
+        ("kernelize", "kernelize"), ("solve", "decide_pist")])
+    def test_invariant_error_exit_code(self, tmp_path, capsys, monkeypatch,
+                                       command, target):
+        def broken(*args):
+            raise InvariantError("simulated bug")
+
+        monkeypatch.setattr(f"mistkernel.cli.{target}", broken)
+        f = write_graph(tmp_path, "p6.gr", path_graph(6))
+        code, out, err = run_cli([command, "--in", f, "--k", "2"], capsys)
+        assert code == EXIT_INTERNAL == 4
+        assert err.strip() == "internal error: simulated bug"
+        assert out == ""
 
 
 class TestGenCmd:

@@ -101,3 +101,18 @@ class TestTraceDocument:
             trace_from_json("{not json")
         with pytest.raises(FormatError):
             trace_from_json(json.dumps({"format": "other"}))
+
+    def test_malformed_fields(self):
+        doc = json.loads(trace_to_json(kernelize(star_with_tail(), 3), 3))
+        for key, value in (("reductions", 5), ("reductions", None),
+                           ("k_original", "x"), ("k_prime", 1.5),
+                           ("kernel_vertices", True)):
+            bad = dict(doc, **{key: value})
+            with pytest.raises(FormatError):
+                trace_from_json(json.dumps(bad))
+        rec = doc["reductions"][0]
+        for key, value in (("s", [float(v) for v in rec["s"]]), ("delta_k", "2"),
+                           ("bsl_tree", [[0, 1, 2]]), ("index_map", [[0]])):
+            bad = dict(doc, reductions=[dict(rec, **{key: value})])
+            with pytest.raises(FormatError):
+                trace_from_json(json.dumps(bad))

@@ -188,6 +188,19 @@ class TestMatching:
             b = BipartiteSubgraph(range(nx), range(nx, nx + ny), pairs)
             assert len(max_matching(b)) == brute_max_matching_size(pairs)
 
+    def test_long_augmenting_path(self):
+        # x_i ~ {y_i, y_{i+1}} matches x_i to y_i; the last left vertex sees
+        # only y_0, so its one augmenting path runs through the whole chain.
+        m = 3000
+        xs = range(m + 1)
+        ys = range(m + 1, 2 * m + 2)
+        pairs = [(i, ys[i]) for i in range(m)] + [(i, ys[i + 1]) for i in range(m)]
+        pairs.append((m, ys[0]))
+        b = BipartiteSubgraph(xs, ys, pairs)
+        matching = max_matching(b)
+        assert len(matching) == m + 1
+        assert matching.pairs <= set(pairs)
+
 
 class TestSaturatingMatching:
     def test_k23_small_side(self):

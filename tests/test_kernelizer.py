@@ -6,6 +6,7 @@ from mistkernel import (
     Graph,
     InvariantError,
     PreconditionError,
+    SLCertificate,
     SpanningTree,
     apply_rule3,
     dfs_tree,
@@ -111,9 +112,29 @@ class TestApplyRule3:
         g = double_star()
         cert = find_sl(g, {2, 3, 4, 5})
         _, _, rec = apply_rule3(g, 3, cert)
-        bad = replace(rec, neighbor_map=frozenset())
+        # S = {0}, L = {2, 3}; (2, 3) is not an S-L edge of g
+        assert rec.index_map == {1: 0, 4: 1, 5: 2}
+        assert rec.bsl_tree.edges == frozenset({(0, 2), (0, 3)})
+        tampered = [
+            (replace(rec, index_map={1: 1, 4: 0, 5: 2}), "index map"),
+            (replace(rec, v_s=rec.v_s + 1), "fresh vertex"),
+            (replace(rec, neighbor_map=frozenset()), "neighbor map"),
+            (replace(rec, delta_k=rec.delta_k + 2), "delta_k"),
+            (replace(rec, bsl_tree=SpanningTree({0, 2, 3}, [(0, 2), (2, 3)])),
+             "S-L edge"),
+        ]
+        for bad, reason in tampered:
+            with pytest.raises(InvariantError, match=reason):
+                replay_reduction(g, bad)
+
+
+class TestValidateCertificate:
+    def test_vertex_outside_graph(self):
+        g = double_star()
+        tree = SpanningTree({0, 2, 3, 9}, [(0, 2), (0, 3), (0, 9)])
+        cert = SLCertificate(frozenset({0}), frozenset({2, 3, 9}), tree)
         with pytest.raises(InvariantError):
-            replay_reduction(g, bad)
+            validate_certificate(g, cert)
 
 
 class TestKernelize:
