@@ -3,7 +3,9 @@
 Subcommands: kernelize, solve, verify, gen.  Exit codes: 0 success/yes,
 1 no/verify-fail, 2 format error, 3 precondition error, 4 internal error
 (a failed consistency check, which is a bug; `verify` reports a trace
-that fails one as FAIL with exit 1 instead).
+that fails one as FAIL with exit 1 instead), 5 resource limit (valid
+input too large to finish, such as a kernel beyond the exact oracle's
+size guard).
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ from .fileformats import (
     verify_trace,
 )
 from .generate import FAMILIES, generate
-from .graph import InvariantError, PreconditionError, internal_count
+from .graph import (
+    InvariantError,
+    PreconditionError,
+    ResourceLimitError,
+    internal_count,
+)
 from .kernelizer import kernelize
 from .oracle import decide_pist
 
@@ -29,6 +36,7 @@ EXIT_NO = 1
 EXIT_FORMAT = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
+EXIT_RESOURCE = 5
 
 
 def _read(path: str) -> str:
@@ -147,6 +155,9 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

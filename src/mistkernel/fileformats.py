@@ -161,7 +161,8 @@ def verify_trace(g: Graph, meta: dict, records, kernel: Graph) -> None:
         raise InvariantError(f"trace outcome is {meta.get('outcome')!r}, not a kernel")
     if meta.get("kernel_vertices") != kernel.n or meta.get("kernel_edges") != kernel.m:
         raise InvariantError("kernel size in the trace differs from the kernel file")
-    delta = sum(rec.delta_k for rec in records)
-    if meta.get("k_original") is not None and meta.get("k_prime") is not None:
-        if meta["k_original"] - delta != meta["k_prime"]:
-            raise InvariantError("k' is inconsistent with the recorded reductions")
+    k_original, k_prime = meta.get("k_original"), meta.get("k_prime")
+    if type(k_original) is not int or type(k_prime) is not int:
+        raise InvariantError("a kernel trace needs integer k_original and k_prime")
+    if k_original - sum(rec.delta_k for rec in records) != k_prime:
+        raise InvariantError("k' is inconsistent with the recorded reductions")

@@ -20,6 +20,11 @@ class InvariantError(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
+class ResourceLimitError(RuntimeError):
+    """Valid input that exceeds a fixed resource limit, such as the size
+    the exact oracle accepts."""
+
+
 def normalize_edge(u: int, v: int) -> tuple[int, int]:
     """Canonical (min, max) form of an undirected edge."""
     return (u, v) if u < v else (v, u)
@@ -314,6 +319,46 @@ def bipartite_between(g: Graph, x, y) -> BipartiteSubgraph:
         elif v in xs and u in ys:
             edges.append((v, u))
     return BipartiteSubgraph(xs, ys, edges)
+
+
+def _components(vertices, edges) -> dict:
+    """Union-find: maps each vertex to the lowest vertex of its component."""
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    return {v: find(v) for v in vertices}
+
+
+def _tree_path(edges, u, v) -> list | None:
+    """The vertex path from u to v in a forest given by its edges, or None
+    when they lie in different components."""
+    adj: dict = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    prev = {u: None}
+    stack = [u]
+    while stack and v not in prev:
+        a = stack.pop()
+        for b in adj.get(a, ()):
+            if b not in prev:
+                prev[b] = a
+                stack.append(b)
+    if v not in prev:
+        return None
+    path = [v]
+    while path[-1] != u:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 
 def _augment(adj: dict, left_order) -> dict:

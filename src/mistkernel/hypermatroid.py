@@ -1,18 +1,39 @@
 """Hypergraphic matroid machinery.
 
 A set F of hyperedges is a hyperforest when it satisfies the strong Hall
-condition: every nonempty F' ⊆ F covers at least |F'| + 1 vertices.  A
-hyperforest with |V| - 1 edges is a hypertree; a hypergraph contains a
-hypertree exactly when every partition of its vertices has at least
-|parts| - 1 border hyperedges (partition-connectivity).  This module
-provides the hyperforest oracle, greedy hypertree construction, shrinking
-a hypertree to an ordinary spanning tree, and a deficient-partition
-certificate for the negative case.
+condition: every nonempty F' ⊆ F covers at least |F'| + 1 vertices.  By
+Lovász's characterisation this holds exactly when each hyperedge of F can
+pick two of its vertices so that the picked pairs form a forest.  Such a
+choice, {edge id: (a, b)} with a < b, is a *pair forest*; a hyperforest
+with |V| - 1 edges is a hypertree, and its pair forest a spanning tree.
+
+Pair forests are the common independent sets of two matroids on the
+vertex pairs inside hyperedges: the graphic matroid, and the partition
+matroid that allows one pair per hyperedge.  `_search` is a breadth-first
+search of their exchange graph.  It either extends a pair forest by a new
+hyperedge, re-pairing the hyperedges along a shortest augmenting path, or
+reports the forest pairs it reached.  The greedy hypertree adds hyperedges
+this way in ascending id order.  When it stops short of |V| - 1, a last
+search from every unchosen hyperedge reaches a set U of forest pairs, and
+by the min-max theorem of matroid intersection the components of U form a
+partition with at most |parts| - 2 border hyperedges.  So a hypergraph
+contains a hypertree exactly when every partition of its vertices has at
+least |parts| - 1 border hyperedges (partition-connectivity; Frank,
+Király and Kriesell).
 """
 
 from __future__ import annotations
 
-from .graph import InvariantError, PreconditionError, SpanningTree, _augment
+from collections import deque
+
+from .graph import (
+    InvariantError,
+    PreconditionError,
+    SpanningTree,
+    _components,
+    _tree_path,
+    normalize_edge,
+)
 
 
 class Hypergraph:
@@ -88,53 +109,62 @@ class Hyperforest:
 
 
 # ---------------------------------------------------------------------------
-# Internal helpers on plain families of vertex sets
+# The exchange-graph search
 
 
-def _has_sdr(sets) -> bool:
-    """True iff the family admits a system of distinct representatives."""
-    adj = {i: tuple(sorted(s)) for i, s in enumerate(sets)}
-    match = _augment(adj, range(len(sets)))
-    return len(match) == len(sets)
+def _search(h: Hypergraph, pairs: dict, starts):
+    """Breadth-first search of the exchange graph from the hyperedges `starts`,
+    which hold no pair of the pair forest `pairs`.
 
+    The nodes are hyperedges, each standing for its pairs.  Let r be the
+    lowest vertex of a hyperedge.  A pair (r, b) whose ends lie in two
+    forest components ends the search; otherwise it leads to the forest
+    pairs on the forest path from r to b, and from each of those to the
+    other pairs of its hyperedge.  The forest paths from r cover every
+    forest pair that any pair of the hyperedge leads to, so hyperedges are
+    reached at their exchange-graph distance, and the first end found
+    closes a shortest augmenting path: swapping its pairs in keeps the
+    pairs a forest with one pair per hyperedge.
 
-def _family_is_hyperforest(n: int, sets) -> bool:
-    """Strong Hall condition for a family of vertex subsets of 0..n-1.
-
-    Equivalent formulation: for every vertex v in the union, the family
-    {e - {v}} admits a system of distinct representatives.
+    Returns ({edge id: new pair} along that path, None) on success, and
+    (None, ids of the forest hyperedges reached) otherwise.
     """
-    if not sets:
-        return True
-    if len(sets) > n - 1:
-        return False
-    union: set = set()
-    for s in sets:
-        union |= s
-    for v in sorted(union):
-        reduced = [s - {v} for s in sets]
-        if any(not s for s in reduced):
-            return False
-        if not _has_sdr(reduced):
-            return False
-    return True
+    forest = list(pairs.values())
+    owner = {pair: eid for eid, pair in pairs.items()}
+    came_from = dict.fromkeys(starts)
+    queue = deque(came_from)
+    while queue:
+        eid = queue.popleft()
+        r, *rest = sorted(h.hyperedges[eid])
+        for b in rest:
+            if pairs.get(eid) == (r, b):
+                continue
+            path = _tree_path(forest, r, b)
+            if path is None:
+                swap, step = {}, (eid, (r, b))
+                while step is not None:
+                    eid, pair = step
+                    swap[eid] = pair
+                    step = came_from[eid]
+                return swap, None
+            for x in map(normalize_edge, path, path[1:]):
+                if owner[x] not in came_from:
+                    came_from[owner[x]] = (eid, (r, b))
+                    queue.append(owner[x])
+    return None, [eid for eid in came_from if eid in pairs]
 
 
-def _greedy_hypertree_sets(n: int, sets) -> list[int] | None:
-    """Greedy matroid construction over a plain family; returns chosen ids."""
-    chosen: list = []
-    chosen_ids: list[int] = []
-    for eid, s in enumerate(sets):
-        if len(chosen) == n - 1:
+def _pair_forest(h: Hypergraph, ids) -> dict:
+    """Matroid greedy over the edge ids in the given order; the pair forest
+    of the hyperedges it keeps."""
+    pairs: dict = {}
+    for eid in ids:
+        if len(pairs) == h.n - 1:
             break
-        if _family_is_hyperforest(n, chosen + [s]):
-            chosen.append(s)
-            chosen_ids.append(eid)
-    return chosen_ids if len(chosen_ids) == n - 1 else None
-
-
-def _is_partition_connected(n: int, sets) -> bool:
-    return _greedy_hypertree_sets(n, sets) is not None
+        swap, _ = _search(h, pairs, [eid])
+        if swap is not None:
+            pairs.update(swap)
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -146,56 +176,29 @@ def is_hyperforest(h: Hypergraph, edge_ids) -> bool:
     ids = sorted(set(edge_ids))
     if any(not (0 <= i < h.m) for i in ids):
         raise PreconditionError("edge id out of range")
-    return _family_is_hyperforest(h.n, [h.hyperedges[i] for i in ids])
+    return len(_pair_forest(h, ids)) == len(ids)
 
 
 def greedy_hypertree(h: Hypergraph) -> Hyperforest | None:
     """Build a hypertree greedily in ascending edge-id order, if one exists."""
     if h.n < 1:
         raise PreconditionError("hypergraph must have at least one vertex")
-    ids = _greedy_hypertree_sets(h.n, h.hyperedges)
-    return Hyperforest(ids) if ids is not None else None
+    pairs = _pair_forest(h, range(h.m))
+    return Hyperforest(pairs) if len(pairs) == h.n - 1 else None
 
 
 def shrink_to_tree(h: Hypergraph, t: Hyperforest):
     """Shrink a hypertree to a spanning tree, one 2-subset per hyperedge.
 
-    Repeatedly picks the lowest-id edge of size > 2 and deletes the
-    lowest-indexed vertex whose removal keeps the strong Hall condition
-    (one always exists for a hypertree).  Returns the tree together with
-    the edge-id -> tree-edge mapping.
+    The 2-subsets are the hypertree's pair forest.  Returns the tree
+    together with the edge-id -> tree-edge mapping.
     """
     ids = sorted(t.edge_ids)
-    current = {i: set(h.hyperedges[i]) for i in ids}
-    if len(ids) != h.n - 1 or not _family_is_hyperforest(
-        h.n, [frozenset(s) for s in current.values()]
-    ):
+    pairs = _pair_forest(h, ids)
+    if len(ids) != h.n - 1 or len(pairs) != len(ids):
         raise PreconditionError("edge selection is not a hypertree")
-    while True:
-        big = [i for i in ids if len(current[i]) > 2]
-        if not big:
-            break
-        eid = big[0]
-        shrunk = False
-        for v in sorted(current[eid]):
-            trial = [
-                frozenset(current[i] - {v}) if i == eid else frozenset(current[i])
-                for i in ids
-            ]
-            if _family_is_hyperforest(h.n, trial):
-                current[eid].discard(v)
-                shrunk = True
-                break
-        if not shrunk:
-            raise InvariantError("no vertex of a hypertree edge could be deleted")
-    mapping = {}
-    tree_edges = []
-    for i in ids:
-        u, v = sorted(current[i])
-        mapping[i] = (u, v)
-        tree_edges.append((u, v))
-    tree = SpanningTree(range(h.n), tree_edges)
-    return tree, mapping
+    mapping = {i: pairs[i] for i in ids}
+    return SpanningTree(range(h.n), mapping.values()), mapping
 
 
 def border(h: Hypergraph, p: Partition) -> frozenset:
@@ -216,40 +219,24 @@ def border(h: Hypergraph, p: Partition) -> frozenset:
 def deficient_partition(h: Hypergraph) -> Partition | None:
     """A partition with |border| <= |parts| - 2, or None if partition-connected.
 
-    Works by contracting vertex pairs while the contraction stays
-    non-partition-connected; at the fixpoint the singleton partition of
-    the contracted hypergraph is deficient, and expanding the contraction
-    classes yields the certificate on the original vertices.
+    Searches from every hyperedge the greedy left out; the parts are the
+    components of the forest pairs it reaches.  Every pair it reaches lies
+    within one part, so a border hyperedge is a forest member whose pair
+    was not reached: |border| <= |forest| - |reached| <= |parts| - 2.
     """
     if h.n < 2:
         raise PreconditionError("need at least two vertices")
-    if _is_partition_connected(h.n, h.hyperedges):
+    pairs = _pair_forest(h, range(h.m))
+    if len(pairs) == h.n - 1:
         return None
-    classes = [[v] for v in range(h.n)]
-    while True:
-        merged = False
-        for i in range(len(classes)):
-            for j in range(i + 1, len(classes)):
-                trial = [c for k, c in enumerate(classes) if k not in (i, j)]
-                trial.append(sorted(classes[i] + classes[j]))
-                trial.sort(key=lambda c: c[0])
-                if not _is_partition_connected(len(trial), _contract(h, trial)):
-                    classes = trial
-                    merged = True
-                    break
-            if merged:
-                break
-        if not merged:
-            break
-    p = Partition(h.n, classes)
+    swap, reached = _search(h, pairs, [i for i in range(h.m) if i not in pairs])
+    if swap is not None:
+        raise InvariantError("the greedy missed an augmenting path")
+    comp = _components(range(h.n), [pairs[i] for i in reached])
+    parts: dict = {}
+    for v, root in comp.items():
+        parts.setdefault(root, []).append(v)
+    p = Partition(h.n, parts.values())
     if len(border(h, p)) > len(p) - 2:
-        raise InvariantError("contraction fixpoint did not yield a deficient partition")
+        raise InvariantError("the reached forest pairs gave no deficient partition")
     return p
-
-
-def _contract(h: Hypergraph, classes) -> list[frozenset]:
-    cls_of = {}
-    for idx, cls in enumerate(classes):
-        for v in cls:
-            cls_of[v] = idx
-    return [frozenset(cls_of[v] for v in e) for e in h.hyperedges]

@@ -20,6 +20,8 @@ from .graph import (
     PreconditionError,
     SpanningTree,
     _augment,
+    _components,
+    _tree_path,
     bipartite_between,
     dfs_leaf_independent_set,
     dfs_tree,
@@ -166,41 +168,18 @@ def _promote_s_leaves(g: Graph, s_set, l_set, tree: SpanningTree) -> SpanningTre
         if not free:
             raise InvariantError("leaf S-vertex has no unused favorite edge")
         u = free[0]
-        path_edge = _tree_path_first_edge(edges, u, v)
-        edges.remove(path_edge)
+        path = _tree_path(edges, u, v)
+        if path is None:
+            raise InvariantError("endpoints are in different tree components")
+        # drop the first edge of the tree path from u to v
+        w = path[1]
+        edges.remove(normalize_edge(u, w))
         edges.add(normalize_edge(u, v))
-        w = path_edge[0] if path_edge[1] == u else path_edge[1]
         deg[w] -= 1
         deg[v] += 1
     else:
         raise InvariantError("leaf promotion did not terminate within |S| rounds")
     return SpanningTree(tree.vertices, edges)
-
-
-def _tree_path_first_edge(edges, u, v):
-    """First edge (incident to u) on the unique tree path from u to v."""
-    adj: dict = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    for a in adj:
-        adj[a].sort()
-    prev = {u: None}
-    stack = [u]
-    while stack:
-        a = stack.pop()
-        if a == v:
-            break
-        for b in adj.get(a, ()):
-            if b not in prev:
-                prev[b] = a
-                stack.append(b)
-    if v not in prev:
-        raise InvariantError("endpoints are in different tree components")
-    node = v
-    while prev[node] != u:
-        node = prev[node]
-    return normalize_edge(u, node)
 
 
 def validate_certificate(g: Graph, cert: SLCertificate) -> None:
@@ -462,8 +441,8 @@ def rearrange_tree(g: Graph, t: SpanningTree, cert: SLCertificate) -> SpanningTr
                 break
         if pair is None:
             break
-        v, w = pair
-        forest.remove(_tree_path_first_edge(forest, v, w))
+        path = _tree_path(forest, *pair)
+        forest.remove(normalize_edge(path[0], path[1]))
     edges = forest | cert.tree.edges
     comp = _components(range(g.n), edges)
     for a, b in sorted(g.edges):
@@ -481,18 +460,3 @@ def rearrange_tree(g: Graph, t: SpanningTree, cert: SLCertificate) -> SpanningTr
         raise InvariantError("rearrangement lost internal vertices")
     return out
 
-
-def _components(vertices, edges) -> dict:
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    return {v: find(v) for v in vertices}

@@ -17,6 +17,7 @@ from .graph import (
     Graph,
     InvariantError,
     PreconditionError,
+    ResourceLimitError,
     SpanningTree,
     internal_count,
     is_connected,
@@ -166,7 +167,7 @@ def opt_internal(g: Graph) -> OptResult:
     """Exact optimum with witness; guarded by MIST_ORACLE_MAX_N (default 18)."""
     guard = _size_guard()
     if g.n > guard:
-        raise PreconditionError(f"graph exceeds the oracle size guard ({guard})")
+        raise ResourceLimitError(f"graph exceeds the oracle size guard ({guard})")
     if not is_connected(g):
         raise PreconditionError("oracle requires a connected graph")
     return _solve(g)

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from mistkernel import Graph, InvariantError, is_connected
-from mistkernel.cli import EXIT_INTERNAL, main
+from mistkernel.cli import EXIT_INTERNAL, EXIT_RESOURCE, main
 from mistkernel.fileformats import parse_edge_list, serialize_edge_list
 
 
@@ -154,9 +154,6 @@ class TestVerifyCmd:
 
         checked = 0
         for kind, path, value in mutations():
-            # a null or absent k is allowed: verify then skips the k' check
-            if path in (("k_original",), ("k_prime",)) and value is None:
-                continue
             bad = copy.deepcopy(doc)
             parent = bad
             for key in path[:-1]:
@@ -176,6 +173,22 @@ class TestVerifyCmd:
             assert "Traceback" not in err
             checked += 1
         assert checked > 500
+
+
+class TestResourceLimit:
+    def test_kernel_beyond_oracle_guard(self, tmp_path, capsys):
+        # a valid instance whose kernel has more vertices than the exact
+        # oracle accepts: a resource limit, not bad input
+        code, out, _ = run_cli(
+            ["gen", "--family", "star-cluster", "--n", "60", "--seed", "0"], capsys)
+        assert code == 0
+        f = tmp_path / "g.gr"
+        f.write_text(out)
+        code, out, err = run_cli(["solve", "--in", str(f), "--k", "20"], capsys)
+        assert code == EXIT_RESOURCE == 5
+        assert err.startswith("resource limit: ")
+        assert "Traceback" not in err
+        assert out == ""
 
 
 class TestInternalError:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -96,8 +97,22 @@ class TestShrinkToTree:
         assert is_tree_edge_set(range(3), sorted(t.edges))
         for eid, (u, v) in mapping.items():
             assert {u, v} <= set(h.hyperedges[eid])
-        # tie-break keeps the lowest deletable vertex: 0 stays in edge 0
+        # edge 0 is the only edge holding vertex 0, so the tree reaches 0
+        # through edge 0's pair
         assert 0 in mapping[0]
+
+    @pytest.mark.parametrize("edges", [
+        [{0, 1, 2}, {0, 1}],
+        [{0, 1, 2, 3}, {0, 1}, {0, 1, 2}],
+    ])
+    def test_later_edge_repairs_an_earlier_one(self, edges):
+        # edge 1 can only take the pair (0, 1), which edge 0 would pick
+        # first; the hypertree exists only if edge 0 gives that pair up
+        h = Hypergraph(len(edges[0]), edges)
+        t, mapping = shrink_to_tree(h, Hyperforest(range(h.m)))
+        assert is_tree_edge_set(range(h.n), sorted(t.edges))
+        assert mapping[1] == (0, 1)
+        assert set(mapping[0]) <= h.hyperedges[0]
 
     def test_star(self):
         h = Hypergraph(5, [{0, i} for i in range(1, 5)])
@@ -159,6 +174,38 @@ class TestDeficientPartition:
             assert (cert is None) == (greedy is not None)
             if cert is not None:
                 assert len(border(h, cert)) <= len(cert) - 2
+
+
+class TestLargerHypergraphs:
+    def test_greedy_and_partition_agree_up_to_12_vertices(self):
+        rng = random.Random(59)
+        found = [0, 0]
+        for _ in range(200):
+            n = rng.randrange(6, 13)
+            h = Hypergraph(n, [
+                rng.sample(range(n), rng.choice((2, 2, 3, 4, n // 2)))
+                for _ in range(rng.randrange(n - 3, 2 * n))
+            ])
+            ht = greedy_hypertree(h)
+            p = deficient_partition(h)
+            assert (ht is None) == (p is not None)
+            if p is None:
+                t, mapping = shrink_to_tree(h, ht)
+                assert is_tree_edge_set(range(n), sorted(t.edges))
+                assert all(set(mapping[i]) <= h.hyperedges[i] for i in ht.edge_ids)
+            else:
+                assert len(border(h, p)) <= len(p) - 2
+            found[p is None] += 1
+        assert min(found) >= 50
+
+    def test_dense_hyperedges(self):
+        rng = random.Random(7)
+        h = Hypergraph(60, [rng.sample(range(60), 30) for _ in range(40)])
+        t0 = time.perf_counter()
+        assert greedy_hypertree(h) is None
+        p = deficient_partition(h)
+        assert time.perf_counter() - t0 < 30
+        assert len(border(h, p)) <= len(p) - 2
 
 
 class TestMatroidExchange:

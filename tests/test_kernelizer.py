@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from mistkernel import (
     replay_reduction,
     validate_certificate,
 )
+from mistkernel.generate import generate
 from bruteforce import (
     all_spanning_trees,
     brute_opt_internal,
@@ -283,3 +285,22 @@ class TestRearrangeTree:
             assert all(out.degree(v) >= 2 for v in cert.s)
             assert internal_count(out, cert.l) == len(cert.s) - 1
             done += 1
+
+
+class TestRule3AtScale:
+    def test_star_cluster_800(self):
+        # the first DFS does not settle this instance, so Rule 3 fires on an
+        # (S, L) pair of several hundred vertices
+        g = generate("star-cluster", 800, seed=1)
+        t0 = time.perf_counter()
+        res = kernelize(g, 266)
+        assert time.perf_counter() - t0 < 60
+        assert res.trace
+        cur = g
+        for rec in res.trace:
+            cur = replay_reduction(cur, rec)
+        if res.outcome == "solved":
+            assert internal_count(res.witness) >= 266
+        else:
+            assert res.outcome == "kernel"
+            assert res.graph == cur and res.graph.n <= 3 * res.k_prime

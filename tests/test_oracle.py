@@ -5,6 +5,7 @@ import pytest
 from mistkernel import (
     Graph,
     PreconditionError,
+    ResourceLimitError,
     decide_pist,
     hamiltonian_path,
     internal_count,
@@ -49,7 +50,7 @@ class TestOptInternal:
 
     def test_size_guard(self, monkeypatch):
         monkeypatch.setenv("MIST_ORACLE_MAX_N", "4")
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ResourceLimitError):
             opt_internal(path_graph(5))
 
     def test_witness_is_optimal(self):
