@@ -338,13 +338,20 @@ def _components(vertices, edges) -> dict:
     return {v: find(v) for v in vertices}
 
 
-def _tree_path(edges, u, v) -> list | None:
-    """The vertex path from u to v in a forest given by its edges, or None
-    when they lie in different components."""
+def _adjacency(edges) -> dict:
+    """{vertex: neighbors} of the vertices the edges touch, as `_tree_path`
+    takes it."""
     adj: dict = {}
     for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
+    return adj
+
+
+def _tree_path(adj: dict, u, v) -> list | None:
+    """The vertex path from u to v in a forest, or None when they lie in
+    different components.  `adj` maps a vertex to its neighbors (any
+    iterable of them); a vertex without edges may be missing."""
     prev = {u: None}
     stack = [u]
     while stack and v not in prev:

@@ -32,7 +32,6 @@ from .graph import (
     SpanningTree,
     _components,
     _tree_path,
-    normalize_edge,
 )
 
 
@@ -112,9 +111,10 @@ class Hyperforest:
 # The exchange-graph search
 
 
-def _search(h: Hypergraph, pairs: dict, starts):
+def _search(h: Hypergraph, pairs: dict, adj: dict, starts):
     """Breadth-first search of the exchange graph from the hyperedges `starts`,
-    which hold no pair of the pair forest `pairs`.
+    which hold no pair of the pair forest `pairs`; `adj` is the forest's
+    adjacency with owners, {a: {b: edge id}}.
 
     The nodes are hyperedges, each standing for its pairs.  Let r be the
     lowest vertex of a hyperedge.  A pair (r, b) whose ends lie in two
@@ -129,8 +129,6 @@ def _search(h: Hypergraph, pairs: dict, starts):
     Returns ({edge id: new pair} along that path, None) on success, and
     (None, ids of the forest hyperedges reached) otherwise.
     """
-    forest = list(pairs.values())
-    owner = {pair: eid for eid, pair in pairs.items()}
     came_from = dict.fromkeys(starts)
     queue = deque(came_from)
     while queue:
@@ -139,7 +137,7 @@ def _search(h: Hypergraph, pairs: dict, starts):
         for b in rest:
             if pairs.get(eid) == (r, b):
                 continue
-            path = _tree_path(forest, r, b)
+            path = _tree_path(adj, r, b)
             if path is None:
                 swap, step = {}, (eid, (r, b))
                 while step is not None:
@@ -147,24 +145,35 @@ def _search(h: Hypergraph, pairs: dict, starts):
                     swap[eid] = pair
                     step = came_from[eid]
                 return swap, None
-            for x in map(normalize_edge, path, path[1:]):
-                if owner[x] not in came_from:
-                    came_from[owner[x]] = (eid, (r, b))
-                    queue.append(owner[x])
+            for a, c in zip(path, path[1:]):
+                owner = adj[a][c]
+                if owner not in came_from:
+                    came_from[owner] = (eid, (r, b))
+                    queue.append(owner)
     return None, [eid for eid in came_from if eid in pairs]
 
 
-def _pair_forest(h: Hypergraph, ids) -> dict:
+def _pair_forest(h: Hypergraph, ids):
     """Matroid greedy over the edge ids in the given order; the pair forest
-    of the hyperedges it keeps."""
+    of the hyperedges it keeps, and its adjacency as `_search` takes it."""
     pairs: dict = {}
+    adj: dict = {}
     for eid in ids:
         if len(pairs) == h.n - 1:
             break
-        swap, _ = _search(h, pairs, [eid])
-        if swap is not None:
-            pairs.update(swap)
-    return pairs
+        swap, _ = _search(h, pairs, adj, [eid])
+        if swap is None:
+            continue
+        # Drop every old pair before adding a new one: a new pair may repeat
+        # the old pair of the next hyperedge on the path.
+        for e in swap.keys() & pairs.keys():
+            a, b = pairs[e]
+            del adj[a][b], adj[b][a]
+        for e, (a, b) in swap.items():
+            adj.setdefault(a, {})[b] = e
+            adj.setdefault(b, {})[a] = e
+        pairs.update(swap)
+    return pairs, adj
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +185,14 @@ def is_hyperforest(h: Hypergraph, edge_ids) -> bool:
     ids = sorted(set(edge_ids))
     if any(not (0 <= i < h.m) for i in ids):
         raise PreconditionError("edge id out of range")
-    return len(_pair_forest(h, ids)) == len(ids)
+    return len(_pair_forest(h, ids)[0]) == len(ids)
 
 
 def greedy_hypertree(h: Hypergraph) -> Hyperforest | None:
     """Build a hypertree greedily in ascending edge-id order, if one exists."""
     if h.n < 1:
         raise PreconditionError("hypergraph must have at least one vertex")
-    pairs = _pair_forest(h, range(h.m))
+    pairs, _ = _pair_forest(h, range(h.m))
     return Hyperforest(pairs) if len(pairs) == h.n - 1 else None
 
 
@@ -194,7 +203,7 @@ def shrink_to_tree(h: Hypergraph, t: Hyperforest):
     together with the edge-id -> tree-edge mapping.
     """
     ids = sorted(t.edge_ids)
-    pairs = _pair_forest(h, ids)
+    pairs, _ = _pair_forest(h, ids)
     if len(ids) != h.n - 1 or len(pairs) != len(ids):
         raise PreconditionError("edge selection is not a hypertree")
     mapping = {i: pairs[i] for i in ids}
@@ -226,10 +235,10 @@ def deficient_partition(h: Hypergraph) -> Partition | None:
     """
     if h.n < 2:
         raise PreconditionError("need at least two vertices")
-    pairs = _pair_forest(h, range(h.m))
+    pairs, adj = _pair_forest(h, range(h.m))
     if len(pairs) == h.n - 1:
         return None
-    swap, reached = _search(h, pairs, [i for i in range(h.m) if i not in pairs])
+    swap, reached = _search(h, pairs, adj, [i for i in range(h.m) if i not in pairs])
     if swap is not None:
         raise InvariantError("the greedy missed an augmenting path")
     comp = _components(range(h.n), [pairs[i] for i in reached])

@@ -19,6 +19,7 @@ from .graph import (
     InvariantError,
     PreconditionError,
     SpanningTree,
+    _adjacency,
     _augment,
     _components,
     _tree_path,
@@ -168,7 +169,7 @@ def _promote_s_leaves(g: Graph, s_set, l_set, tree: SpanningTree) -> SpanningTre
         if not free:
             raise InvariantError("leaf S-vertex has no unused favorite edge")
         u = free[0]
-        path = _tree_path(edges, u, v)
+        path = _tree_path(_adjacency(edges), u, v)
         if path is None:
             raise InvariantError("endpoints are in different tree components")
         # drop the first edge of the tree path from u to v
@@ -441,7 +442,7 @@ def rearrange_tree(g: Graph, t: SpanningTree, cert: SLCertificate) -> SpanningTr
                 break
         if pair is None:
             break
-        path = _tree_path(forest, *pair)
+        path = _tree_path(_adjacency(forest), *pair)
         forest.remove(normalize_edge(path[0], path[1]))
     edges = forest | cert.tree.edges
     comp = _components(range(g.n), edges)

@@ -1,10 +1,19 @@
-"""Exact maximum-internal-spanning-tree solver for desk-scale graphs.
+"""Exact solver for the kernel's question: is there a spanning tree with at
+least k internal vertices?
 
-Ground truth for equivalence testing, and the second stage of the
-kernelize-then-solve decision procedure.  A Hamiltonian-path bitmask DP
-settles the dense case (the optimum is n - 2 exactly when a Hamiltonian
-path exists); otherwise all spanning trees are enumerated by edge
-inclusion/exclusion with connectivity pruning.
+`decide_pist` kernelizes and asks `opt_internal(kernel, k')`, which stops at
+the first tree that reaches k'; that tree need not have the most.  No tree
+on n >= 2 vertices has more than n - 2, so above it the answer is no, and
+at it a Hamiltonian-path bitmask DP answers.  Below it one branch-and-bound
+search over the spanning trees answers: each edge in turn is included or
+excluded, a branch that can no longer connect the graph is dropped, and a
+branch is cut when its upper bound falls below k'.  The bound counts the
+vertices whose chosen degree plus undecided incident edges is at least 2,
+since every other vertex ends up a leaf.
+
+Without a target, `opt_internal(g)` gives the exact optimum, the ground
+truth of the tests: the DP first, then the same search, which cuts a branch
+whose bound cannot beat the best tree found so far.
 """
 
 from __future__ import annotations
@@ -29,7 +38,8 @@ DEFAULT_MAX_N = 18
 
 @dataclass(frozen=True)
 class OptResult:
-    """Maximum internal-vertex count over all spanning trees, with a witness."""
+    """A spanning tree with its internal-vertex count `opt`: the maximum over
+    all spanning trees, unless the tree answers a target (`at_least`)."""
 
     opt: int
     witness: SpanningTree
@@ -90,32 +100,41 @@ def hamiltonian_path(g: Graph) -> list[int] | None:
     return path
 
 
-def _enumerate_best(g: Graph, stop_at: int) -> tuple[int, SpanningTree]:
-    """Best internal count over all spanning trees, via edge branch-and-prune.
+def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
+    """Branch-and-bound over the spanning trees of g.
 
     Each edge in sorted order is either included (if it closes no cycle) or
     excluded (if the remaining edges can still connect the graph), so every
-    spanning tree is visited exactly once.  Stops early at `stop_at`.
+    spanning tree is met exactly once.  A tree with at least `need` internal
+    vertices is kept and `need` rises past it, so the result is the first
+    tree in this order with the most internal vertices, or None when no tree
+    has `need`.  The search stops once a kept tree reaches `stop_at`.
+
+    The bound: an undecided edge can still raise a degree, so a vertex
+    whose chosen degree plus undecided incident edges is below 2 ends up a
+    leaf.  Including an edge leaves that sum unchanged and excluding one
+    lowers it at both ends, so the count of vertices where it is at least 2
+    moves only on exclusion.  A branch whose count is below `need` is cut.
     """
     edges = sorted(g.edges)
     m = len(edges)
     n = g.n
+    room = [g.degree(v) for v in range(n)]  # chosen degree + undecided edges
+    best: list | None = None
     best_count = -1
-    best_tree: list | None = None
+
+    def find(p, x):
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
 
     def connectable(parent: list, start: int) -> bool:
         p = parent[:]
-
-        def find(x):
-            while p[x] != x:
-                p[x] = p[p[x]]
-                x = p[x]
-            return x
-
-        comps = len({find(v) for v in range(n)})
+        comps = len({find(p, v) for v in range(n)})
         for i in range(start, m):
             u, v = edges[i]
-            ru, rv = find(u), find(v)
+            ru, rv = find(p, u), find(p, v)
             if ru != rv:
                 p[ru] = rv
                 comps -= 1
@@ -123,9 +142,9 @@ def _enumerate_best(g: Graph, stop_at: int) -> tuple[int, SpanningTree]:
                     return True
         return comps == 1
 
-    def rec(i: int, parent: list, chosen: list):
-        nonlocal best_count, best_tree
-        if best_count >= stop_at:
+    def rec(i: int, parent: list, chosen: list, bound: int):
+        nonlocal need, best, best_count
+        if best_count >= stop_at or bound < need:
             return
         if len(chosen) == n - 1:
             deg = [0] * n
@@ -133,64 +152,71 @@ def _enumerate_best(g: Graph, stop_at: int) -> tuple[int, SpanningTree]:
                 deg[u] += 1
                 deg[v] += 1
             count = sum(1 for d in deg if d >= 2)
-            if count > best_count:
-                best_count = count
-                best_tree = chosen[:]
+            if count >= need:
+                best, best_count, need = chosen[:], count, count + 1
             return
         if i == m:
             return
-
-        def find(p, x):
-            while p[x] != x:
-                p[x] = p[p[x]]
-                x = p[x]
-            return x
-
         u, v = edges[i]
         ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             p2 = parent[:]
             p2[ru] = rv
             chosen.append(edges[i])
-            rec(i + 1, p2, chosen)
+            rec(i + 1, p2, chosen, bound)
             chosen.pop()
-        if connectable(parent, i + 1):
-            rec(i + 1, parent, chosen)
+        room[u] -= 1
+        room[v] -= 1
+        # Leaving out an edge inside a chosen component keeps what can connect.
+        if ru == rv or connectable(parent, i + 1):
+            rec(i + 1, parent, chosen, bound - (room[u] == 1) - (room[v] == 1))
+        room[u] += 1
+        room[v] += 1
 
-    rec(0, list(range(n)), [])
-    if best_tree is None:
-        raise PreconditionError("graph has no spanning tree")
-    return best_count, SpanningTree(range(n), best_tree)
+    rec(0, list(range(n)), [], sum(1 for r in room if r >= 2))
+    if best is None:
+        return None
+    return OptResult(best_count, SpanningTree(range(n), best))
 
 
-def opt_internal(g: Graph) -> OptResult:
-    """Exact optimum with witness; guarded by MIST_ORACLE_MAX_N (default 18)."""
+def opt_internal(g: Graph, at_least: int | None = None) -> OptResult | None:
+    """The exact optimum with a witness, or, given `at_least`, a tree with at
+    least that many internal vertices (not necessarily the most) and None
+    when the optimum is below it.  Guarded by MIST_ORACLE_MAX_N (default 18).
+    """
     guard = _size_guard()
     if g.n > guard:
         raise ResourceLimitError(f"graph exceeds the oracle size guard ({guard})")
     if not is_connected(g):
         raise PreconditionError("oracle requires a connected graph")
-    return _solve(g)
+    return _solve(g, at_least)
 
 
 # Callers decide the same small graphs repeatedly; a long-lived process may
 # decide any number of distinct ones, so the cache is bounded.
 @functools.lru_cache(maxsize=1024)
-def _solve(g: Graph) -> OptResult:
+def _solve(g: Graph, at_least: int | None) -> OptResult | None:
     """opt_internal on a connected graph that passed the size guard; equal
-    graphs share one cache entry."""
-    if g.n <= 2:
-        tree = SpanningTree(range(g.n), sorted(g.edges))
-        result = OptResult(0, tree)
-    else:
+    graphs and targets share one cache entry."""
+    n = g.n
+    top = max(n - 2, 0)  # a tree on two or more vertices has two leaves
+    if at_least is not None and at_least > top:
+        return None
+    if n <= 2:
+        result = OptResult(0, SpanningTree(range(n), sorted(g.edges)))
+    elif at_least is None or at_least == top:
         path = hamiltonian_path(g)
         if path is not None:
-            tree = SpanningTree(range(g.n), list(zip(path, path[1:])))
-            result = OptResult(g.n - 2, tree)
+            result = OptResult(top, SpanningTree(range(n), list(zip(path, path[1:]))))
+        elif at_least is not None:
+            return None
         else:
             # No Hamiltonian path, so the optimum is at most n - 3.
-            count, tree = _enumerate_best(g, g.n - 3)
-            result = OptResult(count, tree)
+            result = _branch_and_bound(g, 0, n - 3)
+    else:
+        result = _branch_and_bound(g, at_least, at_least)
+        if result is None:
+            return None
     if internal_count(result.witness) != result.opt:
         raise InvariantError("oracle witness does not match its count")
     return result
@@ -208,10 +234,10 @@ def decide_pist(g: Graph, k: int):
         return True, res.witness
     if res.outcome == "trivial_no":
         return False, None
-    best = opt_internal(res.graph)
-    if best.opt >= res.k_prime:
-        lifted = lift_solution(g, res.trace, best.witness)
-        if internal_count(lifted) < k:
-            raise InvariantError("lifted witness misses the target")
-        return True, lifted
-    return False, None
+    found = opt_internal(res.graph, res.k_prime)
+    if found is None:
+        return False, None
+    lifted = lift_solution(g, res.trace, found.witness)
+    if internal_count(lifted) < k:
+        raise InvariantError("lifted witness misses the target")
+    return True, lifted

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 
 import pytest
 
@@ -11,6 +13,7 @@ from mistkernel import (
     internal_count,
     opt_internal,
 )
+from mistkernel.generate import generate
 from bruteforce import brute_hamiltonian_path, brute_opt_internal
 
 
@@ -72,6 +75,42 @@ class TestOptInternal:
             assert (res.opt == n - 2) == brute_hamiltonian_path(g)
 
 
+    def test_at_least_agrees_with_brute_force(self):
+        rng = random.Random(79)
+        for _ in range(40):
+            g = random_connected(rng, rng.randrange(2, 10), rng.randrange(0, 8))
+            opt = brute_opt_internal(g)
+            for at_least in range(g.n + 2):
+                res = opt_internal(g, at_least)
+                if opt < at_least:
+                    assert res is None
+                    continue
+                assert res is not None
+                assert res.witness.edges <= g.edges
+                assert internal_count(res.witness) == res.opt >= at_least
+
+    def test_optimum_witnesses_are_pinned(self):
+        # sha256 of the optimum-mode witnesses of 100 graphs without a
+        # Hamiltonian path, as the unpruned enumeration found them: the
+        # bound must not change which maximal tree comes first.
+        rng = random.Random(8013)
+        h = hashlib.sha256()
+        done = 0
+        while done < 100:
+            n = rng.randrange(8, 14)
+            family = rng.choice(("tree-plus", "random-gnm", "star-cluster"))
+            m = None if family == "star-cluster" else rng.randrange(n, 3 * n // 2 + 1)
+            g = generate(family, n, m, seed=rng.randrange(10**6))
+            if hamiltonian_path(g) is not None:
+                continue
+            res = opt_internal(g)
+            h.update(f"{g.n};{res.opt};{sorted(res.witness.edges)}\n".encode())
+            done += 1
+        assert h.hexdigest() == (
+            "404459e7b3713bcc700fb401f07e19756a12e77ccce25d6ff48900554336b407"
+        )
+
+
 class TestHamiltonianPath:
     def test_agrees_with_brute_force(self):
         rng = random.Random(71)
@@ -112,3 +151,16 @@ class TestDecidePist:
                 if yes:
                     assert witness.edges <= g.edges
                     assert internal_count(witness) >= k
+
+    def test_hard_no_is_fast(self):
+        # The slowest instance of the benchmark's exact-small workload; its
+        # optimum is 14 (seed 253 in bench/exact_small_key.json, found by
+        # full enumeration).  The kernel is the whole graph.  Listing every
+        # spanning tree takes 1.5-2.3 s of CPU; the bounded search, 0.03 s.
+        g = generate("random-gnm", 18, 26, seed=253)
+        t0 = time.process_time()
+        yes, witness = decide_pist(g, 15)
+        assert time.process_time() - t0 < 0.5
+        assert not yes and witness is None
+        yes, witness = decide_pist(g, 14)
+        assert yes and internal_count(witness) >= 14
