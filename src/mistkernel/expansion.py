@@ -1,25 +1,34 @@
-"""Constructive 2-expansion in bipartite graphs.
+"""Constructive 2-expansion between two vertex sets of a graph.
 
-Given B(X, Y) with |Y| >= 2|X| and no isolated Y-vertex, find X' ⊆ X and
-Y' ⊆ Y such that the Y'-neighborhood is exactly X' and every Z ⊆ X' has at
-least 2|Z| neighbors inside Y'.
+Given disjoint X and Y with |Y| >= 2|X| and every Y-vertex adjacent to X,
+find X' ⊆ X and Y' ⊆ Y such that the X-neighborhood of Y' is exactly X'
+and every Z ⊆ X' has at least 2|Z| neighbors inside Y'.  Only the X-Y
+edges of the graph count.  The witness comes with a doubled matching that
+gives every X'-vertex two private Y'-neighbors, which is Hall's form of
+the same condition.  This module holds the package's one matching routine.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .graph import BipartiteSubgraph, InvariantError, PreconditionError, _augment
+from .graph import Graph, InvariantError, PreconditionError
 
 
 class ExpansionPair:
-    """A witness (X', Y') for expansion 2: N(Y') = X' and |N(Z) ∩ Y'| >= 2|Z|."""
+    """A witness (X', Y') for expansion 2: N(Y') = X' and |N(Z) ∩ Y'| >= 2|Z|.
 
-    __slots__ = ("x_prime", "y_prime")
+    `mates` maps each X'-vertex to its two private Y'-neighbors, in
+    ascending order; the 2|X'| mates are distinct, which certifies the
+    expansion.
+    """
 
-    def __init__(self, x_prime, y_prime):
+    __slots__ = ("x_prime", "y_prime", "mates")
+
+    def __init__(self, x_prime, y_prime, mates):
         self.x_prime = frozenset(x_prime)
         self.y_prime = frozenset(y_prime)
+        self.mates = mates
         if not self.x_prime or not self.y_prime:
             raise PreconditionError("expansion pair sides must be nonempty")
 
@@ -27,80 +36,103 @@ class ExpansionPair:
         return f"ExpansionPair(X'={sorted(self.x_prime)}, Y'={sorted(self.y_prime)})"
 
 
-def find_expansion_2(b: BipartiteSubgraph) -> ExpansionPair:
-    """Find a valid expansion pair; deterministic given vertex index order.
+def _augment(adj: dict, left_order) -> dict:
+    """Kuhn's augmenting-path matching.
+
+    `adj` maps each left vertex to an ascending tuple of right vertices.
+    Left vertices are scanned in the given order; returns {left: right}.
+    The depth-first search for an augmenting path keeps an explicit stack,
+    so path length is not bounded by the recursion limit.
+    """
+    match_left: dict = {}
+    match_right: dict = {}
+    for root in left_order:
+        if root in match_left:
+            continue
+        nbrs = adj[root]
+        # The search tries the root's first neighbor first; when it is free
+        # (the common case) match it without building the search state.
+        if nbrs and nbrs[0] not in match_right:
+            match_left[root] = nbrs[0]
+            match_right[nbrs[0]] = root
+            continue
+        seen = set()
+        # stack[i] is a left vertex with the iterator over its remaining
+        # neighbors; path[i] is the right vertex stack[i] currently tries.
+        stack = [(root, iter(nbrs))]
+        path: list = []
+        while stack:
+            for w in stack[-1][1]:
+                if w not in seen:
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            seen.add(w)
+            path.append(w)
+            if w in match_right:
+                u = match_right[w]
+                stack.append((u, iter(adj[u])))
+                continue
+            for (u, _), w in zip(stack, path):
+                match_left[u] = w
+                match_right[w] = u
+            break
+    return match_left
+
+
+def find_expansion_2(g: Graph, x, y) -> ExpansionPair:
+    """Find a valid expansion pair between X and Y in g; deterministic given
+    vertex index order.
 
     Matches two copies of every X-vertex into Y.  If the matching saturates
-    all copies, the current (X, Y) qualifies.  Otherwise the X-vertices
-    reachable by alternating paths from unmatched copies form a Hall
-    violator whose Y-neighborhood is discarded together with it, and the
-    search repeats on the remainder.
+    all copies, the current (X, Y) qualifies and the matching gives the
+    mates.  Otherwise the X-vertices reachable by alternating paths from
+    unmatched copies form a Hall violator whose Y-neighborhood is discarded
+    together with it, and the search repeats on the remainder.
     """
-    if not b.side_x:
+    x_set = frozenset(x)
+    ys = set(y)
+    if x_set & ys:
+        raise PreconditionError("sides of the bipartition overlap")
+    if any(not 0 <= v < g.n for v in x_set | ys):
+        raise PreconditionError(f"a side holds a vertex outside 0..{g.n - 1}")
+    if not x_set:
         raise PreconditionError("side X is empty")
-    if len(b.side_y) < 2 * len(b.side_x):
+    if len(ys) < 2 * len(x_set):
         raise PreconditionError("side Y must have at least twice the size of X")
-    for y in sorted(b.side_y):
-        if not b.y_neighbors(y):
-            raise PreconditionError(f"Y-vertex {y} has no neighbor in X")
+    for w in sorted(ys):
+        if x_set.isdisjoint(g.neighbors(w)):
+            raise PreconditionError(f"Y-vertex {w} has no neighbor in X")
 
-    xs = sorted(b.side_x)
-    ys = set(b.side_y)
+    xs = sorted(x_set)
     while True:
-        left = [(x, c) for x in xs for c in (0, 1)]
-        adj = {
-            (x, c): tuple(w for w in b.x_neighbors(x) if w in ys) for x, c in left
-        }
+        left = [(v, c) for v in xs for c in (0, 1)]
+        adj = {(v, c): tuple(w for w in g.neighbors(v) if w in ys) for v, c in left}
         match_left = _augment(adj, left)
         if len(match_left) == len(left):
-            return ExpansionPair(xs, ys)
-        match_right = {y: u for u, y in match_left.items()}
+            mates = {v: tuple(sorted((match_left[v, 0], match_left[v, 1]))) for v in xs}
+            return ExpansionPair(xs, ys, mates)
+        match_right = {w: u for u, w in match_left.items()}
         # Alternating BFS from unmatched copies: free edge to Y, matched edge back.
         reached = {u for u in left if u not in match_left}
         queue = deque(sorted(reached))
         reached_y = set()
         while queue:
             u = queue.popleft()
-            for y in adj[u]:
-                if y in reached_y:
+            for w in adj[u]:
+                if w in reached_y:
                     continue
-                reached_y.add(y)
-                w = match_right.get(y)
-                if w is not None and w not in reached:
-                    reached.add(w)
-                    queue.append(w)
-        x_bad = {x for (x, _c) in reached}
+                reached_y.add(w)
+                mate = match_right.get(w)
+                if mate is not None and mate not in reached:
+                    reached.add(mate)
+                    queue.append(mate)
+        x_bad = {v for (v, _c) in reached}
         if not x_bad or x_bad == set(xs):
             raise InvariantError("alternating search produced a degenerate violator")
-        y_bad = {y for x in x_bad for y in b.x_neighbors(x) if y in ys}
-        xs = [x for x in xs if x not in x_bad]
+        y_bad = {w for v in x_bad for w in g.neighbors(v) if w in ys}
+        xs = [v for v in xs if v not in x_bad]
         ys -= y_bad
-
-
-def verify_expansion(b: BipartiteSubgraph, p: ExpansionPair, c: int) -> bool:
-    """Definitional check by subset enumeration (test helper; |X'| <= 20).
-
-    True iff N(Y') is exactly X' and every nonempty Z ⊆ X' has at least
-    c * |Z| neighbors inside Y'.
-    """
-    if c < 1:
-        raise PreconditionError("expansion constant must be positive")
-    xs = sorted(p.x_prime)
-    if len(xs) > 20:
-        raise PreconditionError("X' too large for exhaustive verification")
-    if not p.x_prime <= b.side_x or not p.y_prime <= b.side_y:
-        return False
-    neigh_of_y = set()
-    for y in p.y_prime:
-        neigh_of_y.update(b.y_neighbors(y))
-    if neigh_of_y != set(p.x_prime):
-        return False
-    x_adj = {x: frozenset(w for w in b.x_neighbors(x) if w in p.y_prime) for x in xs}
-    for mask in range(1, 1 << len(xs)):
-        z = [xs[i] for i in range(len(xs)) if mask >> i & 1]
-        seen: set = set()
-        for x in z:
-            seen |= x_adj[x]
-        if len(seen) < c * len(z):
-            return False
-    return True

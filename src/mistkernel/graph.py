@@ -1,5 +1,5 @@
-"""Undirected simple graphs plus the tree, bipartite and matching helpers
-shared by the rest of the package.
+"""Undirected simple graphs, spanning trees and the traversal and forest
+helpers shared by the rest of the package.
 
 All structures are immutable after construction and every operation is a
 pure function, so values can be shared freely across threads.  Determinism
@@ -145,11 +145,6 @@ class SpanningTree:
     def leaves(self) -> frozenset:
         return frozenset(v for v, d in self._deg.items() if d == 1)
 
-    def neighbors_of(self, v: int) -> list[int]:
-        out = [b if a == v else a for a, b in self.edges if v in (a, b)]
-        out.sort()
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, SpanningTree)
@@ -162,77 +157,6 @@ class SpanningTree:
 
     def __repr__(self):
         return f"SpanningTree(|V|={len(self.vertices)}, root={self.root})"
-
-
-class BipartiteSubgraph:
-    """The bipartite graph B(X, Y): only the X-Y edges between two disjoint sets."""
-
-    __slots__ = ("side_x", "side_y", "edges", "_x_adj", "_y_adj")
-
-    def __init__(self, side_x, side_y, edges):
-        sx = frozenset(side_x)
-        sy = frozenset(side_y)
-        if sx & sy:
-            raise PreconditionError("bipartition sides overlap")
-        x_adj = {x: [] for x in sx}
-        y_adj = {y: [] for y in sy}
-        es = set()
-        for x, y in edges:
-            if x not in sx or y not in sy:
-                raise PreconditionError(f"edge ({x}, {y}) does not cross the sides")
-            es.add((x, y))
-        for x, y in es:
-            x_adj[x].append(y)
-            y_adj[y].append(x)
-        self.side_x = sx
-        self.side_y = sy
-        self.edges = frozenset(es)
-        self._x_adj = {x: tuple(sorted(v)) for x, v in x_adj.items()}
-        self._y_adj = {y: tuple(sorted(v)) for y, v in y_adj.items()}
-
-    def x_neighbors(self, x: int) -> tuple[int, ...]:
-        return self._x_adj[x]
-
-    def y_neighbors(self, y: int) -> tuple[int, ...]:
-        return self._y_adj[y]
-
-    def restrict(self, xs, ys) -> "BipartiteSubgraph":
-        xs = frozenset(xs)
-        ys = frozenset(ys)
-        return BipartiteSubgraph(
-            xs, ys, [(x, y) for x, y in self.edges if x in xs and y in ys]
-        )
-
-    def __repr__(self):
-        return (
-            f"BipartiteSubgraph(|X|={len(self.side_x)}, |Y|={len(self.side_y)}, "
-            f"m={len(self.edges)})"
-        )
-
-
-class Matching:
-    """A set of vertex-disjoint edges, stored as (x, y) pairs."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs):
-        ps = frozenset(tuple(p) for p in pairs)
-        seen = set()
-        for u, v in ps:
-            if u in seen or v in seen or u == v:
-                raise PreconditionError("matching edges share a vertex")
-            seen.add(u)
-            seen.add(v)
-        self.pairs = ps
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def covered(self) -> frozenset:
-        return frozenset(v for p in self.pairs for v in p)
-
-    def __repr__(self):
-        return f"Matching(size={len(self.pairs)})"
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +182,13 @@ def is_connected(g: Graph) -> bool:
 
 
 def dfs_tree(g: Graph, root: int) -> SpanningTree:
-    """DFS spanning tree from `root`, visiting neighbors in ascending order."""
+    """DFS spanning tree from `root`, visiting neighbors in ascending order.
+
+    A vertex the search does not reach means g is disconnected, which
+    raises PreconditionError.
+    """
     if not (0 <= root < g.n):
         raise PreconditionError(f"root {root} out of range")
-    if not is_connected(g):
-        raise PreconditionError("dfs_tree requires a connected graph")
     parent = [-1] * g.n
     visited = [False] * g.n
     visited[root] = True
@@ -283,6 +209,8 @@ def dfs_tree(g: Graph, root: int) -> SpanningTree:
                 break
         if not advanced:
             stack.pop()
+    if not all(visited):
+        raise PreconditionError("dfs_tree requires a connected graph")
     edges = [(v, parent[v]) for v in range(g.n) if parent[v] >= 0]
     return SpanningTree(range(g.n), edges, root=root)
 
@@ -304,21 +232,6 @@ def dfs_leaf_independent_set(g: Graph, t: SpanningTree) -> frozenset:
                     "tree is not a DFS tree of g: two non-root leaves are adjacent"
                 )
     return out
-
-
-def bipartite_between(g: Graph, x, y) -> BipartiteSubgraph:
-    """B(X, Y): the g-edges with one endpoint in X and the other in Y."""
-    xs = frozenset(x)
-    ys = frozenset(y)
-    if xs & ys:
-        raise PreconditionError("sides of the bipartition overlap")
-    edges = []
-    for u, v in g.edges:
-        if u in xs and v in ys:
-            edges.append((u, v))
-        elif v in xs and u in ys:
-            edges.append((v, u))
-    return BipartiteSubgraph(xs, ys, edges)
 
 
 def _components(vertices, edges) -> dict:
@@ -366,67 +279,3 @@ def _tree_path(adj: dict, u, v) -> list | None:
     while path[-1] != u:
         path.append(prev[path[-1]])
     return path[::-1]
-
-
-def _augment(adj: dict, left_order) -> dict:
-    """Kuhn's augmenting-path matching.
-
-    `adj` maps each left vertex to an ascending tuple of right vertices.
-    Left vertices are scanned in the given order; returns {left: right}.
-    The depth-first search for an augmenting path keeps an explicit stack,
-    so path length is not bounded by the recursion limit.
-    """
-    match_left: dict = {}
-    match_right: dict = {}
-    for root in left_order:
-        if root in match_left:
-            continue
-        nbrs = adj[root]
-        # The search tries the root's first neighbor first; when it is free
-        # (the common case) match it without building the search state.
-        if nbrs and nbrs[0] not in match_right:
-            match_left[root] = nbrs[0]
-            match_right[nbrs[0]] = root
-            continue
-        seen = set()
-        # stack[i] is a left vertex with the iterator over its remaining
-        # neighbors; path[i] is the right vertex stack[i] currently tries.
-        stack = [(root, iter(nbrs))]
-        path: list = []
-        while stack:
-            for w in stack[-1][1]:
-                if w not in seen:
-                    break
-            else:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            seen.add(w)
-            path.append(w)
-            if w in match_right:
-                u = match_right[w]
-                stack.append((u, iter(adj[u])))
-                continue
-            for (u, _), w in zip(stack, path):
-                match_left[u] = w
-                match_right[w] = u
-            break
-    return match_left
-
-
-def max_matching(b: BipartiteSubgraph) -> Matching:
-    """Maximum-cardinality matching; augmenting paths scan X in ascending order."""
-    order = sorted(b.side_x)
-    adj = {x: b.x_neighbors(x) for x in order}
-    match_left = _augment(adj, order)
-    return Matching(sorted(match_left.items()))
-
-
-def saturating_matching(b: BipartiteSubgraph, side: str) -> Matching | None:
-    """A maximum matching if it saturates the requested side ('x' or 'y'), else None."""
-    if side not in ("x", "y"):
-        raise PreconditionError("side must be 'x' or 'y'")
-    m = max_matching(b)
-    want = len(b.side_x) if side == "x" else len(b.side_y)
-    return m if len(m) == want else None

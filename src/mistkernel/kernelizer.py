@@ -14,16 +14,13 @@ from dataclasses import dataclass
 
 from .expansion import find_expansion_2
 from .graph import (
-    BipartiteSubgraph,
     Graph,
     InvariantError,
     PreconditionError,
     SpanningTree,
     _adjacency,
-    _augment,
     _components,
     _tree_path,
-    bipartite_between,
     dfs_leaf_independent_set,
     dfs_tree,
     internal_count,
@@ -97,7 +94,7 @@ def _degree2_tree_or_descend(g: Graph, s_cur, l_cur):
     """One induction step: either a B(S, L) tree with L-degrees <= 2, or a
     smaller (S, L) pair to recurse into.
 
-    Returns ("tree", SpanningTree) or ("descend", (S, L)).
+    Returns ("tree", SpanningTree) or ("descend", ExpansionPair).
     """
     s_sorted = sorted(s_cur)
     l_sorted = sorted(l_cur)
@@ -136,28 +133,19 @@ def _degree2_tree_or_descend(g: Graph, s_cur, l_cur):
     if chosen is None:
         raise InvariantError("no partition part holds twice its size in L-vertices")
     x, y = chosen
-    pair = find_expansion_2(bipartite_between(g, x, y))
-    return "descend", (pair.x_prime, pair.y_prime)
+    return "descend", find_expansion_2(g, x, y)
 
 
-def _promote_s_leaves(g: Graph, s_set, l_set, tree: SpanningTree) -> SpanningTree:
+def _promote_s_leaves(tree: SpanningTree, mates: dict) -> SpanningTree:
     """Edge swaps that make every S-vertex internal without touching L-degrees.
 
-    Two edge-disjoint matchings saturating S (found by matching a doubled
-    copy of S into L) supply the replacement edges: while some S-vertex is
-    a leaf, add one of its unused matched edges and drop the other tree
-    edge at that edge's L-endpoint, keeping the tree spanning.
+    `mates` gives each S-vertex two private L-neighbors (the doubled
+    matching of the expansion pair (S, L)); they supply the replacement
+    edges: while some S-vertex is a leaf, add one of its unused mate edges
+    and drop the other tree edge at that edge's L-endpoint, keeping the
+    tree spanning.
     """
-    s_sorted = sorted(s_set)
-    l_set = frozenset(l_set)
-    left = [(s, c) for s in s_sorted for c in (0, 1)]
-    adj = {
-        (s, c): tuple(w for w in g.neighbors(s) if w in l_set) for s, c in left
-    }
-    match = _augment(adj, left)
-    if len(match) != len(left):
-        raise InvariantError("doubled matching fails to saturate S")
-    favorites = {s: sorted(match[(s, c)] for c in (0, 1)) for s in s_sorted}
+    s_sorted = sorted(mates)
     edges = set(tree.edges)
     deg = {v: tree.degree(v) for v in tree.vertices}
     for _round in range(len(s_sorted) + 1):
@@ -165,9 +153,9 @@ def _promote_s_leaves(g: Graph, s_set, l_set, tree: SpanningTree) -> SpanningTre
         if not leaf_s:
             break
         v = leaf_s[0]
-        free = [u for u in favorites[v] if normalize_edge(u, v) not in edges]
+        free = [u for u in mates[v] if normalize_edge(u, v) not in edges]
         if not free:
-            raise InvariantError("leaf S-vertex has no unused favorite edge")
+            raise InvariantError("leaf S-vertex has no unused mate edge")
         u = free[0]
         path = _tree_path(_adjacency(edges), u, v)
         if path is None:
@@ -224,18 +212,16 @@ def find_sl(g: Graph, independent) -> SLCertificate:
             raise PreconditionError("the given set is not independent")
     if 3 * len(ind) < 2 * n:
         raise PreconditionError("independent set has fewer than 2n/3 vertices")
-    rest = sorted(set(range(n)) - ind)
-    pair = find_expansion_2(bipartite_between(g, rest, sorted(ind)))
-    s_cur, l_cur = pair.x_prime, pair.y_prime
+    pair = find_expansion_2(g, set(range(n)) - ind, ind)
     while True:
-        kind, payload = _degree2_tree_or_descend(g, s_cur, l_cur)
+        kind, payload = _degree2_tree_or_descend(g, pair.x_prime, pair.y_prime)
         if kind == "tree":
             break
-        s_cur, l_cur = payload
-    if any(payload.degree(w) > 2 for w in l_cur):
+        pair = payload
+    if any(payload.degree(w) > 2 for w in pair.y_prime):
         raise InvariantError("B(S, L) tree gives an L-vertex degree above 2")
-    tree = _promote_s_leaves(g, s_cur, l_cur, payload)
-    cert = SLCertificate(s=frozenset(s_cur), l=frozenset(l_cur), tree=tree)
+    tree = _promote_s_leaves(payload, pair.mates)
+    cert = SLCertificate(s=pair.x_prime, l=pair.y_prime, tree=tree)
     validate_certificate(g, cert)
     return cert
 
@@ -324,14 +310,15 @@ def lift_solution(g_original: Graph, trace, t: SpanningTree) -> SpanningTree:
 
 def _unwind(g_pre: Graph, rec: ReductionRecord, t: SpanningTree) -> SpanningTree:
     inv = {new: old for old, new in rec.index_map.items()}
-    vs_neighbors = sorted(t.neighbors_of(rec.v_s))
-    if rec.v_l not in vs_neighbors:
-        raise InvariantError("pendant vertex is detached from v_S in the tree")
+    vs_neighbors = []
     edges = set()
     for a, b in t.edges:
-        if rec.v_s in (a, b) or rec.v_l in (a, b):
-            continue
-        edges.add(normalize_edge(inv[a], inv[b]))
+        if rec.v_s in (a, b):
+            vs_neighbors.append(b if a == rec.v_s else a)
+        elif rec.v_l not in (a, b):
+            edges.add(normalize_edge(inv[a], inv[b]))
+    if rec.v_l not in vs_neighbors:
+        raise InvariantError("pendant vertex is detached from v_S in the tree")
     edges |= rec.bsl_tree.edges
     s_sorted = sorted(rec.s)
     for u_new in vs_neighbors:

@@ -18,8 +18,6 @@ whose bound cannot beat the best tree found so far.
 
 from __future__ import annotations
 
-import functools
-import os
 from dataclasses import dataclass
 
 from .graph import (
@@ -33,7 +31,7 @@ from .graph import (
 )
 from .kernelizer import kernelize, lift_solution
 
-DEFAULT_MAX_N = 18
+MAX_N = 18  # the largest graph opt_internal accepts; 2^n DP states bound it
 
 
 @dataclass(frozen=True)
@@ -45,17 +43,20 @@ class OptResult:
     witness: SpanningTree
 
 
-def _size_guard() -> int:
-    return int(os.environ.get("MIST_ORACLE_MAX_N", DEFAULT_MAX_N))
-
-
 def hamiltonian_path(g: Graph) -> list[int] | None:
-    """A Hamiltonian path as a vertex list, or None.  Bitmask DP."""
+    """A Hamiltonian path as a vertex list, or None.  Bitmask DP.
+
+    Only the two ends of a Hamiltonian path have degree 1 on it, so a graph
+    with more than two vertices of degree at most 1 has none; the DP is
+    skipped for those.
+    """
     n = g.n
     if n == 0:
         return None
     if n == 1:
         return [0]
+    if sum(1 for v in range(n) if g.degree(v) <= 1) > 2:
+        return None
     nbr_mask = [0] * n
     for u, v in g.edges:
         nbr_mask[u] |= 1 << v
@@ -182,22 +183,13 @@ def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
 def opt_internal(g: Graph, at_least: int | None = None) -> OptResult | None:
     """The exact optimum with a witness, or, given `at_least`, a tree with at
     least that many internal vertices (not necessarily the most) and None
-    when the optimum is below it.  Guarded by MIST_ORACLE_MAX_N (default 18).
+    when the optimum is below it.  A graph on more than MAX_N vertices
+    raises ResourceLimitError.
     """
-    guard = _size_guard()
-    if g.n > guard:
-        raise ResourceLimitError(f"graph exceeds the oracle size guard ({guard})")
+    if g.n > MAX_N:
+        raise ResourceLimitError(f"graph exceeds the oracle size guard ({MAX_N})")
     if not is_connected(g):
         raise PreconditionError("oracle requires a connected graph")
-    return _solve(g, at_least)
-
-
-# Callers decide the same small graphs repeatedly; a long-lived process may
-# decide any number of distinct ones, so the cache is bounded.
-@functools.lru_cache(maxsize=1024)
-def _solve(g: Graph, at_least: int | None) -> OptResult | None:
-    """opt_internal on a connected graph that passed the size guard; equal
-    graphs and targets share one cache entry."""
     n = g.n
     top = max(n - 2, 0)  # a tree on two or more vertices has two leaves
     if at_least is not None and at_least > top:
@@ -225,10 +217,9 @@ def _solve(g: Graph, at_least: int | None) -> OptResult | None:
 def decide_pist(g: Graph, k: int):
     """Kernelize, solve the kernel exactly, and lift the witness.
 
-    Returns (True, witness tree of g) or (False, None).
+    Returns (True, witness tree of g) or (False, None); kernelize rejects a
+    disconnected graph with PreconditionError.
     """
-    if not is_connected(g):
-        raise PreconditionError("decide_pist requires a connected graph")
     res = kernelize(g, k)
     if res.outcome in ("solved", "trivial_yes"):
         return True, res.witness

@@ -116,6 +116,32 @@ def brute_max_matching_size(pairs) -> int:
     return best
 
 
+def verify_expansion(g: Graph, x, y, x_prime, y_prime, c: int) -> bool:
+    """Definitional expansion check by subset enumeration (|X'| <= 20).
+
+    Only X-Y edges of g count.  True iff X' ⊆ X, Y' ⊆ Y, the X-neighborhood
+    of Y' is exactly X', and every nonempty Z ⊆ X' has at least c * |Z|
+    neighbors inside Y'.
+    """
+    xs = sorted(x_prime)
+    if len(xs) > 20:
+        raise ValueError("X' too large for exhaustive verification")
+    x, y, y_prime = set(x), set(y), set(y_prime)
+    if not set(xs) <= x or not y_prime <= y:
+        return False
+    if {u for w in y_prime for u in g.neighbors(w) if u in x} != set(xs):
+        return False
+    x_adj = {v: {w for w in g.neighbors(v) if w in y_prime} for v in xs}
+    for mask in range(1, 1 << len(xs)):
+        z = [xs[i] for i in range(len(xs)) if mask >> i & 1]
+        seen: set = set()
+        for v in z:
+            seen |= x_adj[v]
+        if len(seen) < c * len(z):
+            return False
+    return True
+
+
 def brute_hamiltonian_path(g: Graph) -> bool:
     if g.n <= 1:
         return True

@@ -14,7 +14,6 @@ from contextlib import contextmanager
 import pytest
 
 from mistkernel import (
-    BipartiteSubgraph,
     Graph,
     Hypergraph,
     SLCertificate,
@@ -31,7 +30,6 @@ from mistkernel import (
     rearrange_tree,
     replay_reduction,
     validate_certificate,
-    verify_expansion,
 )
 from mistkernel.fileformats import serialize_edge_list, trace_to_json
 from mistkernel.generate import generate
@@ -40,6 +38,7 @@ from bruteforce import (
     brute_has_deficient_partition,
     brute_hamiltonian_path,
     random_spanning_tree,
+    verify_expansion,
 )
 
 
@@ -198,9 +197,9 @@ def test_criterion_4_expansion_lemma():
             for y in ys:
                 for x in rng.sample(range(px), rng.randrange(1, px + 1)):
                     edges.append((x, y))
-            b = BipartiteSubgraph(range(px), ys, edges)
-            pair = find_expansion_2(b)
-            assert verify_expansion(b, pair, 2)
+            g = Graph(px + py, edges)
+            pair = find_expansion_2(g, range(px), ys)
+            assert verify_expansion(g, range(px), ys, pair.x_prime, pair.y_prime, 2)
 
 
 def _check_trace_certificates(g, trace):

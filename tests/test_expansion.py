@@ -3,63 +3,80 @@ import random
 
 import pytest
 
-from mistkernel import (
-    BipartiteSubgraph,
-    PreconditionError,
-    find_expansion_2,
-    verify_expansion,
-)
-from mistkernel.expansion import ExpansionPair
+from mistkernel import Graph, PreconditionError, find_expansion_2
+from bruteforce import verify_expansion
 
 
 def bip(nx, ny, pairs):
-    return BipartiteSubgraph(range(nx), range(nx, nx + ny), pairs)
+    """The graph on X = 0..nx-1 and Y = nx..nx+ny-1 with the given X-Y edges,
+    with its two sides."""
+    return Graph(nx + ny, pairs), range(nx), range(nx, nx + ny)
 
 
 class TestVerifyExpansion:
     def test_k24_passes_c2(self):
-        b = bip(2, 4, [(x, y) for x in (0, 1) for y in (2, 3, 4, 5)])
-        p = ExpansionPair({0, 1}, {2, 3, 4, 5})
-        assert verify_expansion(b, p, 2)
+        g, x, y = bip(2, 4, [(x, y) for x in (0, 1) for y in (2, 3, 4, 5)])
+        assert verify_expansion(g, x, y, {0, 1}, {2, 3, 4, 5}, 2)
 
     def test_k24_fails_c3(self):
-        b = bip(2, 4, [(x, y) for x in (0, 1) for y in (2, 3, 4, 5)])
-        p = ExpansionPair({0, 1}, {2, 3, 4, 5})
-        assert not verify_expansion(b, p, 3)
+        g, x, y = bip(2, 4, [(x, y) for x in (0, 1) for y in (2, 3, 4, 5)])
+        assert not verify_expansion(g, x, y, {0, 1}, {2, 3, 4, 5}, 3)
 
     def test_outside_neighbor_fails(self):
         # y=4 also sees x=1, which is outside X'
-        b = bip(2, 3, [(0, 2), (0, 3), (0, 4), (1, 4)])
-        p = ExpansionPair({0}, {2, 3, 4})
-        assert not verify_expansion(b, p, 2)
+        g, x, y = bip(2, 3, [(0, 2), (0, 3), (0, 4), (1, 4)])
+        assert not verify_expansion(g, x, y, {0}, {2, 3, 4}, 2)
 
 
 class TestFindExpansion2:
     def test_single_x(self):
-        b = bip(1, 2, [(0, 1), (0, 2)])
-        p = find_expansion_2(b)
+        g, x, y = bip(1, 2, [(0, 1), (0, 2)])
+        p = find_expansion_2(g, x, y)
         assert p.x_prime == frozenset({0})
         assert p.y_prime == frozenset({1, 2})
+        assert p.mates == {0: (1, 2)}
 
     def test_complete_k24(self):
-        b = bip(2, 4, [(x, y) for x in (0, 1) for y in range(2, 6)])
-        p = find_expansion_2(b)
+        g, x, y = bip(2, 4, [(x, y) for x in (0, 1) for y in range(2, 6)])
+        p = find_expansion_2(g, x, y)
         assert p.x_prime == frozenset({0, 1})
         assert p.y_prime == frozenset(range(2, 6))
 
     def test_unbalanced_split(self):
         # y2..y4 see only x0; y5 sees only x1: ({x0, x1}, Y) is invalid
-        b = bip(2, 4, [(0, 2), (0, 3), (0, 4), (1, 5)])
-        p = find_expansion_2(b)
-        assert verify_expansion(b, p, 2)
+        g, x, y = bip(2, 4, [(0, 2), (0, 3), (0, 4), (1, 5)])
+        p = find_expansion_2(g, x, y)
+        assert verify_expansion(g, x, y, p.x_prime, p.y_prime, 2)
         assert p.x_prime == frozenset({0})
         assert p.y_prime <= frozenset({2, 3, 4})
 
     def test_precondition_errors(self):
         with pytest.raises(PreconditionError):
-            find_expansion_2(bip(2, 3, [(0, 2), (1, 3), (1, 4)]))
+            find_expansion_2(*bip(2, 3, [(0, 2), (1, 3), (1, 4)]))
         with pytest.raises(PreconditionError):
-            find_expansion_2(bip(1, 2, [(0, 1)]))  # isolated y
+            find_expansion_2(*bip(1, 2, [(0, 1)]))  # isolated y
+
+    def test_input_checks(self):
+        g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+        for x, y in (
+            ({0, 1}, {1, 2, 3, 4, 5}),  # the sides overlap
+            ({0, 1}, {2, 3, 4, 6}),  # 6 is not a vertex of g
+            ({-1, 0}, {2, 3, 4, 5}),  # nor is -1
+            ({0}, {2, 3, 5}),  # 5 sees only 1, outside X
+            ({0, 1}, {2, 3, 4}),  # |Y| < 2|X|
+            (set(), {2, 3}),  # X is empty
+        ):
+            with pytest.raises(PreconditionError):
+                find_expansion_2(g, x, y)
+
+    def test_reads_only_cross_edges(self):
+        # K7 with X = {0, 1}, Y = {2, 3, 4, 5} and 6 outside both sides: the
+        # X-X, Y-Y and outside edges must not count.
+        g = Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
+        p = find_expansion_2(g, {0, 1}, {2, 3, 4, 5})
+        assert p.x_prime == frozenset({0, 1})
+        assert p.y_prime == frozenset({2, 3, 4, 5})
+        assert sorted(w for pair in p.mates.values() for w in pair) == [2, 3, 4, 5]
 
 
 class TestRandomInstances:
@@ -79,18 +96,34 @@ class TestRandomInstances:
     def test_outputs_always_verify(self):
         rng = random.Random(97)
         for _ in range(150):
-            b = self.random_valid_instance(rng)
-            p = find_expansion_2(b)
-            assert p.x_prime <= b.side_x and p.y_prime <= b.side_y
-            assert verify_expansion(b, p, 2)
+            g, x, y = self.random_valid_instance(rng)
+            p = find_expansion_2(g, x, y)
+            assert p.x_prime <= set(x) and p.y_prime <= set(y)
+            assert verify_expansion(g, x, y, p.x_prime, p.y_prime, 2)
 
     def test_pair_is_self_contained(self):
         rng = random.Random(101)
         for _ in range(60):
-            b = self.random_valid_instance(rng)
-            p = find_expansion_2(b)
-            restricted = b.restrict(p.x_prime, p.y_prime)
-            assert verify_expansion(restricted, p, 2)
+            g, x, y = self.random_valid_instance(rng)
+            p = find_expansion_2(g, x, y)
+            inside = p.x_prime | p.y_prime
+            restricted = Graph(
+                g.n, [(u, v) for u, v in g.edges if u in inside and v in inside]
+            )
+            assert verify_expansion(restricted, x, y, p.x_prime, p.y_prime, 2)
+
+    def test_mates_certify_the_pair(self):
+        rng = random.Random(107)
+        for _ in range(150):
+            g, x, y = self.random_valid_instance(rng)
+            p = find_expansion_2(g, x, y)
+            assert set(p.mates) == p.x_prime
+            for v, (a, b) in p.mates.items():
+                assert a < b
+                assert {a, b} <= p.y_prime
+                assert g.has_edge(v, a) and g.has_edge(v, b)
+            flat = [w for pair in p.mates.values() for w in pair]
+            assert len(set(flat)) == len(flat) == 2 * len(p.x_prime)
 
     def test_exhaustive_on_tiny_instances(self):
         # every valid (X', Y') the solver returns is among the brute-force valid pairs
@@ -104,17 +137,14 @@ class TestRandomInstances:
                 for x in range(nx):
                     if rng.random() < 0.4:
                         pairs.add((x, y))
-            b = bip(nx, ny, pairs)
-            p = find_expansion_2(b)
+            g, xs, ys = bip(nx, ny, pairs)
+            p = find_expansion_2(g, xs, ys)
             valid = []
-            xs = sorted(b.side_x)
-            ys = sorted(b.side_y)
             for rx in range(1, nx + 1):
                 for combo_x in itertools.combinations(xs, rx):
                     for ry in range(1, ny + 1):
                         for combo_y in itertools.combinations(ys, ry):
-                            cand = ExpansionPair(combo_x, combo_y)
-                            if verify_expansion(b, cand, 2):
+                            if verify_expansion(g, xs, ys, combo_x, combo_y, 2):
                                 valid.append(
                                     (frozenset(combo_x), frozenset(combo_y))
                                 )

@@ -2,18 +2,16 @@ import random
 
 import pytest
 
+import mistkernel
 from mistkernel import (
-    BipartiteSubgraph,
     Graph,
     PreconditionError,
-    bipartite_between,
     dfs_leaf_independent_set,
     dfs_tree,
     internal_count,
     is_connected,
-    max_matching,
-    saturating_matching,
 )
+from mistkernel.expansion import _augment
 from bruteforce import brute_max_matching_size
 
 
@@ -74,7 +72,7 @@ class TestDfsTree:
         assert internal_count(t) == 3
 
     def test_disconnected_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="connected"):
             dfs_tree(Graph(4, [(0, 1), (2, 3)]), 0)
 
     def test_always_a_spanning_tree(self):
@@ -141,39 +139,15 @@ class TestDfsLeafIndependentSet:
                 assert not set(g.neighbors(u)) & out
 
 
-class TestBipartite:
-    def test_k4_split(self):
-        g = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-        b = bipartite_between(g, {0, 1}, {2, 3})
-        assert len(b.edges) == 4
-
-    def test_empty_side(self):
-        g = path_graph(2)
-        b = bipartite_between(g, {0}, set())
-        assert not b.edges
-
-    def test_p4_inner_outer(self):
-        g = path_graph(4)
-        b = bipartite_between(g, {1, 2}, {0, 3})
-        assert b.edges == frozenset({(1, 0), (2, 3)})
-
-    def test_overlap_rejected(self):
-        with pytest.raises(PreconditionError):
-            bipartite_between(path_graph(3), {0, 1}, {1, 2})
-
-
 class TestMatching:
     def test_k22(self):
-        b = BipartiteSubgraph({0, 1}, {2, 3}, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        assert len(max_matching(b)) == 2
+        assert len(_augment({0: (2, 3), 1: (2, 3)}, [0, 1])) == 2
 
     def test_empty(self):
-        b = BipartiteSubgraph({0}, {1}, [])
-        assert len(max_matching(b)) == 0
+        assert len(_augment({0: ()}, [0])) == 0
 
     def test_path_three(self):
-        b = BipartiteSubgraph({1}, {0, 2}, [(1, 0), (1, 2)])
-        assert len(max_matching(b)) == 1
+        assert len(_augment({1: (0, 2)}, [1])) == 1
 
     def test_against_enumeration(self):
         rng = random.Random(5)
@@ -185,35 +159,39 @@ class TestMatching:
                 for y in range(ny)
                 if rng.random() < 0.4
             }
-            b = BipartiteSubgraph(range(nx), range(nx, nx + ny), pairs)
-            assert len(max_matching(b)) == brute_max_matching_size(pairs)
+            adj = {x: tuple(sorted(y for a, y in pairs if a == x)) for x in range(nx)}
+            matching = _augment(adj, range(nx))
+            assert set(matching.items()) <= pairs
+            assert len(set(matching.values())) == len(matching)
+            assert len(matching) == brute_max_matching_size(pairs)
 
     def test_long_augmenting_path(self):
         # x_i ~ {y_i, y_{i+1}} matches x_i to y_i; the last left vertex sees
         # only y_0, so its one augmenting path runs through the whole chain.
         m = 3000
-        xs = range(m + 1)
         ys = range(m + 1, 2 * m + 2)
-        pairs = [(i, ys[i]) for i in range(m)] + [(i, ys[i + 1]) for i in range(m)]
-        pairs.append((m, ys[0]))
-        b = BipartiteSubgraph(xs, ys, pairs)
-        matching = max_matching(b)
+        adj = {i: (ys[i], ys[i + 1]) for i in range(m)}
+        adj[m] = (ys[0],)
+        matching = _augment(adj, range(m + 1))
         assert len(matching) == m + 1
-        assert matching.pairs <= set(pairs)
+        assert len(set(matching.values())) == m + 1
+        assert all(y in adj[x] for x, y in matching.items())
 
 
 class TestSaturatingMatching:
     def test_k23_small_side(self):
-        b = BipartiteSubgraph({0, 1}, {2, 3, 4},
-                              [(x, y) for x in (0, 1) for y in (2, 3, 4)])
-        m = saturating_matching(b, "x")
-        assert m is not None and len(m) == 2
+        adj = {x: (2, 3, 4) for x in (0, 1)}
+        assert len(_augment(adj, [0, 1])) == 2
 
     def test_one_x_two_y(self):
-        b = BipartiteSubgraph({0}, {1, 2}, [(0, 1), (0, 2)])
-        assert saturating_matching(b, "y") is None
+        # matching the two-vertex side {1, 2} into {0} cannot saturate it
+        assert len(_augment({1: (0,), 2: (0,)}, [1, 2])) == 1
 
     def test_perfect(self):
-        b = BipartiteSubgraph({0, 1}, {2, 3}, [(0, 2), (1, 3)])
-        assert saturating_matching(b, "x") is not None
-        assert saturating_matching(b, "y") is not None
+        assert len(_augment({0: (2,), 1: (3,)}, [0, 1])) == 2
+        assert len(_augment({2: (0,), 3: (1,)}, [2, 3])) == 2
+
+
+def test_public_names_resolve():
+    for name in mistkernel.__all__:
+        assert getattr(mistkernel, name, None) is not None, name

@@ -51,10 +51,9 @@ class TestOptInternal:
         with pytest.raises(PreconditionError):
             opt_internal(Graph(4, [(0, 1), (2, 3)]))
 
-    def test_size_guard(self, monkeypatch):
-        monkeypatch.setenv("MIST_ORACLE_MAX_N", "4")
+    def test_size_guard(self):
         with pytest.raises(ResourceLimitError):
-            opt_internal(path_graph(5))
+            opt_internal(path_graph(19))
 
     def test_witness_is_optimal(self):
         rng = random.Random(61)
@@ -114,12 +113,21 @@ class TestOptInternal:
 class TestHamiltonianPath:
     def test_agrees_with_brute_force(self):
         rng = random.Random(71)
+        graphs = []
         for _ in range(60):
             n = rng.randrange(1, 8)
             if n == 1:
-                g = Graph(1)
+                graphs.append(Graph(1))
             else:
-                g = random_connected(rng, n, rng.randrange(0, 6))
+                graphs.append(random_connected(rng, n, rng.randrange(0, 6)))
+        # random edge subsets, possibly disconnected, many with more than
+        # two vertices of degree at most 1
+        for _ in range(60):
+            n = rng.randrange(2, 8)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            graphs.append(Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1))))
+        for g in graphs:
+            n = g.n
             path = hamiltonian_path(g)
             assert (path is not None) == brute_hamiltonian_path(g)
             if path is not None:
@@ -139,6 +147,12 @@ class TestDecidePist:
     def test_p6_above_max(self):
         yes, _ = decide_pist(path_graph(6), 5)
         assert not yes
+
+    def test_disconnected_rejected(self):
+        # rejected even where the target alone would answer NO
+        for k in (1, 3):
+            with pytest.raises(PreconditionError, match="connected"):
+                decide_pist(Graph(4, [(0, 1), (2, 3)]), k)
 
     def test_agrees_with_direct_oracle(self):
         rng = random.Random(73)
