@@ -210,7 +210,7 @@ def dfs_tree(g: Graph, root: int) -> SpanningTree:
         if not advanced:
             stack.pop()
     if not all(visited):
-        raise PreconditionError("dfs_tree requires a connected graph")
+        raise PreconditionError("graph must be connected")
     edges = [(v, parent[v]) for v in range(g.n) if parent[v] >= 0]
     return SpanningTree(range(g.n), edges, root=root)
 

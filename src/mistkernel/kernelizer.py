@@ -343,14 +343,13 @@ def kernelize(g: Graph, k: int) -> KernelResult:
     a DFS tree with enough internal vertices (lifted through the trace).
     Rule 3 shrinks the graph using a fresh (S, L) certificate and repeats.
     """
-    if not is_connected(g):
-        raise PreconditionError("kernelize requires a connected graph")
     if g.n < 1:
         raise PreconditionError("graph must have at least one vertex")
+    t = dfs_tree(g, 0)  # raises PreconditionError on a disconnected graph
     if k <= 0:
         return KernelResult(
             "trivial_yes",
-            witness=dfs_tree(g, 0),
+            witness=t,
             k_prime=k,
             reason="every spanning tree has at least zero internal vertices",
         )
@@ -364,12 +363,9 @@ def kernelize(g: Graph, k: int) -> KernelResult:
     cur = g
     k_cur = k
     trace: list[ReductionRecord] = []
-    while True:
-        # The DFS solve check runs before the size check so that instances a
-        # single DFS already settles are answered, not merely shrunk.
-        t = dfs_tree(cur, 0)
-        if internal_count(t) >= k_cur:
-            break
+    # The DFS solve check runs before the size check so that instances a
+    # single DFS already settles are answered, not merely shrunk.
+    while internal_count(t) < k_cur:
         if cur.n <= 3 * k_cur:
             return KernelResult("kernel", graph=cur, k_prime=k_cur, trace=tuple(trace))
         ind = dfs_leaf_independent_set(cur, t)
@@ -395,6 +391,7 @@ def kernelize(g: Graph, k: int) -> KernelResult:
             raise InvariantError("reduction failed to make progress")
         trace.append(rec)
         cur, k_cur = reduced, k_next
+        t = dfs_tree(cur, 0)
     lifted = lift_solution(g, trace, t)
     if internal_count(lifted) < k:
         raise InvariantError("lifted witness misses the target")

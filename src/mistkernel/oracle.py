@@ -4,12 +4,12 @@ least k internal vertices?
 `decide_pist` kernelizes and asks `opt_internal(kernel, k')`, which stops at
 the first tree that reaches k'; that tree need not have the most.  No tree
 on n >= 2 vertices has more than n - 2, so above it the answer is no, and
-at it a Hamiltonian-path bitmask DP answers.  Below it one branch-and-bound
-search over the spanning trees answers: each edge in turn is included or
-excluded, a branch that can no longer connect the graph is dropped, and a
-branch is cut when its upper bound falls below k'.  The bound counts the
-vertices whose chosen degree plus undecided incident edges is at least 2,
-since every other vertex ends up a leaf.
+at it a Hamiltonian-path DP over 2^n end-sets answers.  Below it one
+branch-and-bound search over the spanning trees answers: each edge in turn
+is included or excluded, a branch that can no longer connect the graph is
+dropped, and a branch is cut when an upper bound falls below k': the
+vertices that can still reach degree 2, or n - 2 less the chosen degrees'
+excess over 2 (a tree has 2 + sum(max(0, deg - 2)) leaves).
 
 Without a target, `opt_internal(g)` gives the exact optimum, the ground
 truth of the tests: the DP first, then the same search, which cuts a branch
@@ -31,7 +31,7 @@ from .graph import (
 )
 from .kernelizer import kernelize, lift_solution
 
-MAX_N = 18  # the largest graph opt_internal accepts; 2^n DP states bound it
+MAX_N = 18  # the largest graph opt_internal accepts: 2^n end-sets, about 10 MB at 18
 
 
 @dataclass(frozen=True)
@@ -44,59 +44,45 @@ class OptResult:
 
 
 def hamiltonian_path(g: Graph) -> list[int] | None:
-    """A Hamiltonian path as a vertex list, or None.  Bitmask DP.
+    """A Hamiltonian path as a vertex list, or None.  Bitmask DP (Bellman;
+    Held and Karp, 1962): `ends[mask]` holds the vertices where a path
+    through exactly `mask` can end.  The walk back starts at the lowest end
+    of the full set and steps to the lowest neighbour that ends a path
+    through the rest, so no parent is stored.
 
     Only the two ends of a Hamiltonian path have degree 1 on it, so a graph
     with more than two vertices of degree at most 1 has none; the DP is
     skipped for those.
     """
     n = g.n
-    if n == 0:
-        return None
-    if n == 1:
-        return [0]
     if sum(1 for v in range(n) if g.degree(v) <= 1) > 2:
         return None
     nbr_mask = [0] * n
     for u, v in g.edges:
         nbr_mask[u] |= 1 << v
         nbr_mask[v] |= 1 << u
+    full = (1 << n) - 1
     ends = [0] * (1 << n)
-    parent: dict = {}
     for v in range(n):
         ends[1 << v] = 1 << v
-    full = (1 << n) - 1
-    for mask in range(1, 1 << n):
+    for mask in range(1, full):
         em = ends[mask]
-        if not em:
-            continue
-        if mask == full:
-            break
-        v = 0
         while em:
-            if em & 1:
-                ext = nbr_mask[v] & ~mask
-                w = 0
-                e2 = ext
-                while e2:
-                    if e2 & 1:
-                        nm = mask | (1 << w)
-                        if not ends[nm] >> w & 1:
-                            ends[nm] |= 1 << w
-                            parent[(nm, w)] = v
-                    e2 >>= 1
-                    w += 1
-            em >>= 1
-            v += 1
+            low = em & -em
+            em ^= low
+            ext = nbr_mask[low.bit_length() - 1] & ~mask
+            while ext:
+                w = ext & -ext
+                ext ^= w
+                ends[mask | w] |= w
     if not ends[full]:
         return None
-    end = (ends[full] & -ends[full]).bit_length() - 1
-    path = [end]
+    path = [(ends[full] & -ends[full]).bit_length() - 1]
     mask = full
     while len(path) < n:
-        prev = parent[(mask, path[-1])]
-        mask &= ~(1 << path[-1])
-        path.append(prev)
+        mask ^= 1 << path[-1]
+        prev = nbr_mask[path[-1]] & ends[mask]
+        path.append((prev & -prev).bit_length() - 1)
     path.reverse()
     return path
 
@@ -116,11 +102,17 @@ def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
     leaf.  Including an edge leaves that sum unchanged and excluding one
     lowers it at both ends, so the count of vertices where it is at least 2
     moves only on exclusion.  A branch whose count is below `need` is cut.
+
+    The leaf-count cut: a tree has 2 + sum(max(0, deg - 2)) leaves and
+    chosen degrees only grow, so a branch whose chosen degrees exceed 2 by
+    `excess` in total keeps at most n - 2 - excess internal vertices.  A
+    complete tree that is not cut has exactly that many and is kept.
     """
     edges = sorted(g.edges)
     m = len(edges)
     n = g.n
     room = [g.degree(v) for v in range(n)]  # chosen degree + undecided edges
+    deg = [0] * n  # chosen degree
     best: list | None = None
     best_count = -1
 
@@ -143,18 +135,12 @@ def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
                     return True
         return comps == 1
 
-    def rec(i: int, parent: list, chosen: list, bound: int):
+    def rec(i: int, parent: list, chosen: list, bound: int, excess: int):
         nonlocal need, best, best_count
-        if best_count >= stop_at or bound < need:
+        if best_count >= stop_at or bound < need or n - 2 - excess < need:
             return
         if len(chosen) == n - 1:
-            deg = [0] * n
-            for u, v in chosen:
-                deg[u] += 1
-                deg[v] += 1
-            count = sum(1 for d in deg if d >= 2)
-            if count >= need:
-                best, best_count, need = chosen[:], count, count + 1
+            best, best_count, need = chosen[:], n - 2 - excess, n - 1 - excess
             return
         if i == m:
             return
@@ -164,17 +150,21 @@ def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
             p2 = parent[:]
             p2[ru] = rv
             chosen.append(edges[i])
-            rec(i + 1, p2, chosen, bound)
+            deg[u] += 1
+            deg[v] += 1
+            rec(i + 1, p2, chosen, bound, excess + (deg[u] > 2) + (deg[v] > 2))
+            deg[u] -= 1
+            deg[v] -= 1
             chosen.pop()
         room[u] -= 1
         room[v] -= 1
         # Leaving out an edge inside a chosen component keeps what can connect.
         if ru == rv or connectable(parent, i + 1):
-            rec(i + 1, parent, chosen, bound - (room[u] == 1) - (room[v] == 1))
+            rec(i + 1, parent, chosen, bound - (room[u] == 1) - (room[v] == 1), excess)
         room[u] += 1
         room[v] += 1
 
-    rec(0, list(range(n)), [], sum(1 for r in room if r >= 2))
+    rec(0, list(range(n)), [], sum(1 for r in room if r >= 2), 0)
     if best is None:
         return None
     return OptResult(best_count, SpanningTree(range(n), best))

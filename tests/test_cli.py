@@ -69,6 +69,20 @@ class TestKernelizeCmd:
         assert code == 3
 
 
+class TestEdgeLineErrors:
+    @pytest.mark.parametrize("command", ["kernelize", "solve"])
+    @pytest.mark.parametrize("text", [
+        "p 3 1\ne 0 3\n", "p 3 1\ne -1 2\n", "p 3 2\ne 0 1\ne 0 1\n", "p 3 1\ne 2 2\n",
+    ])
+    def test_format_error(self, tmp_path, capsys, command, text):
+        f = tmp_path / "bad.gr"
+        f.write_text(text)
+        code, out, err = run_cli([command, "--in", str(f), "--k", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("format error:") and "Traceback" not in err
+
+
 class TestSolveCmd:
     def test_cycle_yes(self, tmp_path, capsys):
         g = Graph(8, [(i, (i + 1) % 8) for i in range(8)])

@@ -43,6 +43,12 @@ class TestEdgeList:
         with pytest.raises(FormatError):
             parse_edge_list("p 3 2\ne 0 1\ne 0 1\n")
 
+    def test_out_of_range_and_loop_rejected(self):
+        # the range check is Graph's; the parser reports it as a format error
+        for edge in ("e 0 3", "e -1 2", "e 1 1"):
+            with pytest.raises(FormatError):
+                parse_edge_list(f"p 3 1\n{edge}\n")
+
     def test_serialization_canonical(self):
         a = Graph(4, [(2, 3), (0, 1)])
         b = Graph(4, [(0, 1), (2, 3)])

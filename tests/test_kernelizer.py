@@ -169,8 +169,10 @@ class TestKernelize:
         assert kernelize(Graph(1), 0).outcome == "trivial_yes"
 
     def test_disconnected_rejected(self):
-        with pytest.raises(PreconditionError):
-            kernelize(Graph(4, [(0, 1), (2, 3)]), 1)
+        # before any trivial answer: at k = 0, in range, and above n - 2
+        for k in (0, 1, 3):
+            with pytest.raises(PreconditionError, match="connected"):
+                kernelize(Graph(4, [(0, 1), (2, 3)]), k)
 
     def test_big_star_answered_without_kernel(self):
         # S ∪ L covers the whole star, so the loop answers outright

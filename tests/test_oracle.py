@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -23,6 +24,10 @@ def path_graph(n):
 
 def star_graph(m):
     return Graph(m + 1, [(0, i) for i in range(1, m + 1)])
+
+
+def complete_bipartite(a, b):
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def random_connected(rng, n, extra):
@@ -134,6 +139,36 @@ class TestHamiltonianPath:
                 assert sorted(path) == list(range(n))
                 assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
 
+    def test_paths_are_pinned(self):
+        # sha256 of the paths of 500 seeded random edge subsets with n <= 13
+        # (325 have one), as the DP with a parent per (mask, end) found
+        # them: walking back through the end-sets must give the same paths.
+        rng = random.Random(2024)
+        h = hashlib.sha256()
+        for _ in range(500):
+            n = rng.randrange(1, 14)
+            p = rng.random()
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            path = hamiltonian_path(Graph(n, [e for e in pairs if rng.random() < p]))
+            h.update(f"{n};{path}\n".encode())
+        assert h.hexdigest() == (
+            "62068f6962d63563af351bb129a0642a9a9b7c5a0c31f8691b2bd07f6a57dffd"
+        )
+
+    def test_memory_is_the_end_set_table(self):
+        # 64 bytes per end-set leaves no room for a map per (mask, end)
+        # state, which peaks at 1.9 MB on K6,6 and 1.1 MB on K5,7.
+        for a, b in ((6, 6), (5, 7)):
+            g = complete_bipartite(a, b)
+            tracemalloc.start()
+            try:
+                path = hamiltonian_path(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (path is not None) == (a == b)
+            assert peak < 64 << g.n
+
 
 class TestDecidePist:
     def test_p6_hamiltonian(self):
@@ -178,3 +213,17 @@ class TestDecidePist:
         assert not yes and witness is None
         yes, witness = decide_pist(g, 14)
         assert yes and internal_count(witness) >= 14
+
+    def test_near_hamiltonian_bipartite_is_fast(self):
+        # K(a, a + 2) has no Hamiltonian path and optimum 2a - 1 = n - 3,
+        # which only the leaf-count cut reaches quickly: without it each of
+        # these ran past 20 s.
+        t0 = time.process_time()
+        for a in (6, 7, 8):
+            g = complete_bipartite(a, a + 2)
+            yes, witness = decide_pist(g, 2 * a - 1)
+            assert yes
+            assert witness.vertices == frozenset(range(g.n))
+            assert witness.edges <= g.edges
+            assert internal_count(witness) >= 2 * a - 1
+        assert time.process_time() - t0 < 1.0
