@@ -2,8 +2,9 @@
 
 A hypergraph contains a hypertree exactly when every partition of its
 vertices is crossed by enough hyperedges.  This script shows both sides:
-a hypertree getting shrunk to an ordinary spanning tree, and a deficient
-partition certifying that no hypertree exists.
+a hypertree, whose certificate is one pair of vertices per hyperedge that
+together form an ordinary spanning tree, and a deficient partition
+certifying that no hypertree exists.
 """
 
 from mistkernel import (
@@ -16,12 +17,12 @@ from mistkernel import (
 
 print("--- positive side ---")
 h = Hypergraph(4, [{0, 1, 2}, {1, 2, 3}, {0, 3}])
-t = greedy_hypertree(h)
+pairs = greedy_hypertree(h)
 print(f"hyperedges: {[sorted(e) for e in h.hyperedges]}")
-print(f"greedy hypertree picks edge ids {sorted(t.edge_ids)}")
+print(f"greedy hypertree picks edge ids {sorted(pairs)}")
 
-tree, mapping = shrink_to_tree(h, t)
-print("each hyperedge shrinks to a single pair:")
+tree, mapping = shrink_to_tree(h, pairs)
+print("each hyperedge shrinks to the single pair the greedy chose for it:")
 for eid, pair in sorted(mapping.items()):
     print(f"  edge {eid}: {sorted(h.hyperedges[eid])} -> {pair}")
 print(f"the pairs form a spanning tree: {sorted(tree.edges)}")

@@ -5,12 +5,11 @@ find X' ⊆ X and Y' ⊆ Y such that the X-neighborhood of Y' is exactly X'
 and every Z ⊆ X' has at least 2|Z| neighbors inside Y'.  Only the X-Y
 edges of the graph count.  The witness comes with a doubled matching that
 gives every X'-vertex two private Y'-neighbors, which is Hall's form of
-the same condition.  This module holds the package's one matching routine.
+the same condition; one matching finds both, as in the expansion lemma's
+proof (Thomassé).  This module holds the package's one matching routine.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .graph import Graph, InvariantError, PreconditionError
 
@@ -87,11 +86,12 @@ def find_expansion_2(g: Graph, x, y) -> ExpansionPair:
     """Find a valid expansion pair between X and Y in g; deterministic given
     vertex index order.
 
-    Matches two copies of every X-vertex into Y.  If the matching saturates
-    all copies, the current (X, Y) qualifies and the matching gives the
-    mates.  Otherwise the X-vertices reachable by alternating paths from
-    unmatched copies form a Hall violator whose Y-neighborhood is discarded
-    together with it, and the search repeats on the remainder.
+    Matches two copies of every X-vertex into Y, once.  The X-vertices with
+    a copy that alternating paths from unmatched copies reach form a Hall
+    violator, and the Y-vertices reached are exactly their neighbours; both
+    are discarded.  Each copy left is matched outside the reached Y, or the
+    search would have reached it through its mate, so the same matching
+    saturates the remainder and gives the mates.
     """
     x_set = frozenset(x)
     ys = set(y)
@@ -108,31 +108,24 @@ def find_expansion_2(g: Graph, x, y) -> ExpansionPair:
             raise PreconditionError(f"Y-vertex {w} has no neighbor in X")
 
     xs = sorted(x_set)
-    while True:
-        left = [(v, c) for v in xs for c in (0, 1)]
-        adj = {(v, c): tuple(w for w in g.neighbors(v) if w in ys) for v, c in left}
-        match_left = _augment(adj, left)
-        if len(match_left) == len(left):
-            mates = {v: tuple(sorted((match_left[v, 0], match_left[v, 1]))) for v in xs}
-            return ExpansionPair(xs, ys, mates)
+    left = [(v, c) for v in xs for c in (0, 1)]
+    adj = {(v, c): tuple(w for w in g.neighbors(v) if w in ys) for v, c in left}
+    match_left = _augment(adj, left)
+    if len(match_left) < len(left):
         match_right = {w: u for u, w in match_left.items()}
-        # Alternating BFS from unmatched copies: free edge to Y, matched edge back.
-        reached = {u for u in left if u not in match_left}
-        queue = deque(sorted(reached))
-        reached_y = set()
-        while queue:
-            u = queue.popleft()
+        # Alternating search: free edge to Y, matched edge back to its mate.
+        stack = [u for u in left if u not in match_left]
+        x_bad = set()
+        while stack:
+            u = stack.pop()
+            x_bad.add(u[0])
             for w in adj[u]:
-                if w in reached_y:
-                    continue
-                reached_y.add(w)
-                mate = match_right.get(w)
-                if mate is not None and mate not in reached:
-                    reached.add(mate)
-                    queue.append(mate)
-        x_bad = {v for (v, _c) in reached}
-        if not x_bad or x_bad == set(xs):
-            raise InvariantError("alternating search produced a degenerate violator")
-        y_bad = {w for v in x_bad for w in g.neighbors(v) if w in ys}
+                if w in ys:
+                    ys.remove(w)
+                    if w in match_right:
+                        stack.append(match_right[w])
         xs = [v for v in xs if v not in x_bad]
-        ys -= y_bad
+        if not xs:
+            raise InvariantError("alternating search produced a degenerate violator")
+    mates = {v: tuple(sorted((match_left[v, 0], match_left[v, 1]))) for v in xs}
+    return ExpansionPair(xs, ys, mates)

@@ -55,11 +55,14 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[1]), int(parts[2])
         except ValueError:
             raise FormatError(f"bad edge line: {line!r}") from None
-        if u >= v:
-            raise FormatError(f"edge ({u}, {v}) violates u < v")
+        if not 0 <= u < v < n:
+            raise FormatError(f"edge ({u}, {v}) violates 0 <= u < v < {n}")
         edges.append((u, v))
+    # m edges touch at most 2m vertices; refuse before allocating n of them
+    if n >= 2 and n > 2 * m:
+        raise PreconditionError("graph must be connected")
     try:
-        return Graph(n, edges)  # checks the range and rejects repeated edges
+        return Graph(n, edges)  # rejects repeated edges
     except PreconditionError as exc:
         raise FormatError(str(exc)) from None
 

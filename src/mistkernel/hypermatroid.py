@@ -6,6 +6,8 @@ Lovász's characterisation this holds exactly when each hyperedge of F can
 pick two of its vertices so that the picked pairs form a forest.  Such a
 choice, {edge id: (a, b)} with a < b, is a *pair forest*; a hyperforest
 with |V| - 1 edges is a hypertree, and its pair forest a spanning tree.
+The pair forest is the certificate: `greedy_hypertree` returns the one it
+builds, and `shrink_to_tree` checks it instead of searching again.
 
 Pair forests are the common independent sets of two matroids on the
 vertex pairs inside hyperedges: the graphic matroid, and the partition
@@ -92,21 +94,6 @@ class Partition:
         return f"Partition({[sorted(p) for p in self.parts]})"
 
 
-class Hyperforest:
-    """A selection of hyperedge ids satisfying the strong Hall condition."""
-
-    __slots__ = ("edge_ids",)
-
-    def __init__(self, edge_ids):
-        self.edge_ids = frozenset(edge_ids)
-
-    def __len__(self):
-        return len(self.edge_ids)
-
-    def __repr__(self):
-        return f"Hyperforest({sorted(self.edge_ids)})"
-
-
 # ---------------------------------------------------------------------------
 # The exchange-graph search
 
@@ -188,25 +175,25 @@ def is_hyperforest(h: Hypergraph, edge_ids) -> bool:
     return len(_pair_forest(h, ids)[0]) == len(ids)
 
 
-def greedy_hypertree(h: Hypergraph) -> Hyperforest | None:
-    """Build a hypertree greedily in ascending edge-id order, if one exists."""
+def greedy_hypertree(h: Hypergraph) -> dict | None:
+    """The pair forest {edge id: (a, b)} of a hypertree built greedily in
+    ascending edge-id order, or None if the hypergraph has no hypertree."""
     if h.n < 1:
         raise PreconditionError("hypergraph must have at least one vertex")
     pairs, _ = _pair_forest(h, range(h.m))
-    return Hyperforest(pairs) if len(pairs) == h.n - 1 else None
+    return pairs if len(pairs) == h.n - 1 else None
 
 
-def shrink_to_tree(h: Hypergraph, t: Hyperforest):
-    """Shrink a hypertree to a spanning tree, one 2-subset per hyperedge.
-
-    The 2-subsets are the hypertree's pair forest.  Returns the tree
-    together with the edge-id -> tree-edge mapping.
-    """
-    ids = sorted(t.edge_ids)
-    pairs, _ = _pair_forest(h, ids)
-    if len(ids) != h.n - 1 or len(pairs) != len(ids):
-        raise PreconditionError("edge selection is not a hypertree")
-    mapping = {i: pairs[i] for i in ids}
+def shrink_to_tree(h: Hypergraph, pairs: dict):
+    """Shrink a hypertree to a spanning tree, given its pair forest as
+    `greedy_hypertree` returns it: n - 1 pairs, each a 2-subset of its own
+    hyperedge, that form no cycle.  Returns the tree and the mapping."""
+    if len(pairs) != h.n - 1:
+        raise PreconditionError(f"a hypertree on {h.n} vertices needs {h.n - 1} pairs")
+    for eid, (a, b) in pairs.items():
+        if not 0 <= eid < h.m or a == b or not {a, b} <= h.hyperedges[eid]:
+            raise PreconditionError(f"pair ({a}, {b}) is not a 2-subset of hyperedge {eid}")
+    mapping = dict(sorted(pairs.items()))
     return SpanningTree(range(h.n), mapping.values()), mapping
 
 

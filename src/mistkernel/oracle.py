@@ -52,9 +52,12 @@ def hamiltonian_path(g: Graph) -> list[int] | None:
 
     Only the two ends of a Hamiltonian path have degree 1 on it, so a graph
     with more than two vertices of degree at most 1 has none; the DP is
-    skipped for those.
+    skipped for those.  A graph on more than MAX_N vertices raises
+    ResourceLimitError.
     """
     n = g.n
+    if n > MAX_N:
+        raise ResourceLimitError(f"graph exceeds the oracle size guard ({MAX_N})")
     if sum(1 for v in range(n) if g.degree(v) <= 1) > 2:
         return None
     nbr_mask = [0] * n

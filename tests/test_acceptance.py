@@ -176,7 +176,7 @@ def test_criterion_3_hypertree_iff_partition_connected():
             if ht is not None:
                 assert bad_partition is None
                 assert len(ht) == n - 1
-                assert is_hyperforest(h, ht.edge_ids)
+                assert is_hyperforest(h, ht)
             else:
                 negatives += 1
                 assert bad_partition is not None

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -81,6 +82,21 @@ class TestEdgeLineErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("format error:") and "Traceback" not in err
+
+
+class TestHugeHeader:
+    @pytest.mark.parametrize("command", ["kernelize", "solve"])
+    def test_isolated_vertices_refused_before_allocation(self, tmp_path, capsys, command):
+        # 2000000 vertices and no edge: 12 bytes that must not cost memory
+        # or time in proportion to n
+        f = tmp_path / "huge.gr"
+        f.write_text("p 2000000 0\n")
+        t0 = time.process_time()
+        code, out, err = run_cli([command, "--in", str(f), "--k", "1"], capsys)
+        assert time.process_time() - t0 < 0.1
+        assert code == 3
+        assert out == ""
+        assert err == "precondition error: graph must be connected\n"
 
 
 class TestSolveCmd:

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
+import mistkernel.expansion
 from mistkernel import Graph, PreconditionError, find_expansion_2
 from bruteforce import verify_expansion
 
@@ -81,6 +83,19 @@ class TestFindExpansion2:
 
 class TestRandomInstances:
     @staticmethod
+    def sparse_instance(rng):
+        # one X-neighbour per Y-vertex and few more: Hall violators are common
+        nx = rng.randrange(1, 8)
+        ny = rng.randrange(2 * nx, 2 * nx + 4)
+        pairs = set()
+        for y in range(nx, nx + ny):
+            pairs.add((rng.randrange(nx), y))
+            for x in range(nx):
+                if rng.random() < 0.1:
+                    pairs.add((x, y))
+        return bip(nx, ny, pairs)
+
+    @staticmethod
     def random_valid_instance(rng):
         nx = rng.randrange(1, 7)
         ny = rng.randrange(2 * nx, 13)
@@ -112,18 +127,21 @@ class TestRandomInstances:
             )
             assert verify_expansion(restricted, x, y, p.x_prime, p.y_prime, 2)
 
+    @staticmethod
+    def assert_mates_certify(g, p):
+        assert set(p.mates) == p.x_prime
+        for v, (a, b) in p.mates.items():
+            assert a < b
+            assert {a, b} <= p.y_prime
+            assert g.has_edge(v, a) and g.has_edge(v, b)
+        flat = [w for pair in p.mates.values() for w in pair]
+        assert len(set(flat)) == len(flat) == 2 * len(p.x_prime)
+
     def test_mates_certify_the_pair(self):
         rng = random.Random(107)
         for _ in range(150):
             g, x, y = self.random_valid_instance(rng)
-            p = find_expansion_2(g, x, y)
-            assert set(p.mates) == p.x_prime
-            for v, (a, b) in p.mates.items():
-                assert a < b
-                assert {a, b} <= p.y_prime
-                assert g.has_edge(v, a) and g.has_edge(v, b)
-            flat = [w for pair in p.mates.values() for w in pair]
-            assert len(set(flat)) == len(flat) == 2 * len(p.x_prime)
+            self.assert_mates_certify(g, find_expansion_2(g, x, y))
 
     def test_exhaustive_on_tiny_instances(self):
         # every valid (X', Y') the solver returns is among the brute-force valid pairs
@@ -149,3 +167,37 @@ class TestRandomInstances:
                                     (frozenset(combo_x), frozenset(combo_y))
                                 )
             assert (p.x_prime, p.y_prime) in valid
+
+    def test_pairs_are_pinned(self):
+        # sha256 over (X', Y') of 300 sparse instances, 127 of them with a
+        # Hall violator, as found by matching again after removing it; the
+        # one matching must give the same pairs, and its mates must certify
+        rng = random.Random(109)
+        h = hashlib.sha256()
+        for _ in range(300):
+            g, x, y = self.sparse_instance(rng)
+            p = find_expansion_2(g, x, y)
+            h.update(repr((sorted(p.x_prime), sorted(p.y_prime))).encode())
+            self.assert_mates_certify(g, p)
+        assert h.hexdigest() == (
+            "0e188926ecb8526ca0fb2c9d47c812c1aff109726c7690db03d92e363a33bd54"
+        )
+
+    def test_one_matching_per_call(self, monkeypatch):
+        calls = []
+        augment = mistkernel.expansion._augment
+
+        def counting(adj, left_order):
+            calls.append(left_order)
+            return augment(adj, left_order)
+
+        monkeypatch.setattr(mistkernel.expansion, "_augment", counting)
+        rng = random.Random(113)
+        violators = 0
+        for _ in range(100):
+            g, x, y = self.sparse_instance(rng)
+            calls.clear()
+            p = find_expansion_2(g, x, y)
+            violators += p.x_prime != set(x)
+            assert len(calls) == 1
+        assert violators >= 30

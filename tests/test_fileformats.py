@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mistkernel import Graph, InvariantError, kernelize
+from mistkernel import Graph, InvariantError, PreconditionError, kernelize
 from mistkernel.fileformats import (
     FormatError,
     parse_edge_list,
@@ -44,10 +44,18 @@ class TestEdgeList:
             parse_edge_list("p 3 2\ne 0 1\ne 0 1\n")
 
     def test_out_of_range_and_loop_rejected(self):
-        # the range check is Graph's; the parser reports it as a format error
+        # the parser checks 0 <= u < v < n on every edge line
         for edge in ("e 0 3", "e -1 2", "e 1 1"):
             with pytest.raises(FormatError):
                 parse_edge_list(f"p 3 1\n{edge}\n")
+
+    def test_too_few_edges_to_connect(self):
+        # m edges touch at most 2m vertices, so n > 2m leaves one isolated
+        for text in ("p 2 0\n", "p 5 2\ne 0 1\ne 2 3\n"):
+            with pytest.raises(PreconditionError, match="connected"):
+                parse_edge_list(text)
+        assert parse_edge_list("p 1 0\n") == Graph(1)
+        assert parse_edge_list("p 4 2\ne 0 1\ne 2 3\n") == Graph(4, [(0, 1), (2, 3)])
 
     def test_serialization_canonical(self):
         a = Graph(4, [(2, 3), (0, 1)])

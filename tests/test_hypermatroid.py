@@ -4,7 +4,6 @@ import time
 import pytest
 
 from mistkernel import (
-    Hyperforest,
     Hypergraph,
     PreconditionError,
     border,
@@ -13,7 +12,7 @@ from mistkernel import (
     is_hyperforest,
     shrink_to_tree,
 )
-from mistkernel.hypermatroid import Partition
+from mistkernel.hypermatroid import Partition, _pair_forest
 from bruteforce import (
     brute_has_deficient_partition,
     brute_strong_hall,
@@ -59,8 +58,7 @@ class TestIsHyperforest:
 class TestGreedyHypertree:
     def test_path_pairs(self):
         h = Hypergraph(3, [{0, 1}, {1, 2}])
-        ht = greedy_hypertree(h)
-        assert ht is not None and ht.edge_ids == frozenset({0, 1})
+        assert greedy_hypertree(h) == {0: (0, 1), 1: (1, 2)}
 
     def test_single_big_edge_insufficient(self):
         assert greedy_hypertree(Hypergraph(3, [{0, 1, 2}])) is None
@@ -81,19 +79,19 @@ class TestGreedyHypertree:
             ht = greedy_hypertree(h)
             if ht is not None:
                 assert len(ht) == h.n - 1
-                assert is_hyperforest(h, ht.edge_ids)
+                assert is_hyperforest(h, ht)
 
 
 class TestShrinkToTree:
     def test_identity_on_graph_tree(self):
         h = Hypergraph(3, [{0, 1}, {1, 2}])
-        t, mapping = shrink_to_tree(h, Hyperforest({0, 1}))
+        t, mapping = shrink_to_tree(h, greedy_hypertree(h))
         assert t.edges == frozenset({(0, 1), (1, 2)})
         assert mapping == {0: (0, 1), 1: (1, 2)}
 
     def test_mixed_sizes(self):
         h = Hypergraph(3, [{0, 1, 2}, {1, 2}])
-        t, mapping = shrink_to_tree(h, Hyperforest({0, 1}))
+        t, mapping = shrink_to_tree(h, greedy_hypertree(h))
         assert is_tree_edge_set(range(3), sorted(t.edges))
         for eid, (u, v) in mapping.items():
             assert {u, v} <= set(h.hyperedges[eid])
@@ -109,20 +107,35 @@ class TestShrinkToTree:
         # edge 1 can only take the pair (0, 1), which edge 0 would pick
         # first; the hypertree exists only if edge 0 gives that pair up
         h = Hypergraph(len(edges[0]), edges)
-        t, mapping = shrink_to_tree(h, Hyperforest(range(h.m)))
+        t, mapping = shrink_to_tree(h, greedy_hypertree(h))
         assert is_tree_edge_set(range(h.n), sorted(t.edges))
         assert mapping[1] == (0, 1)
         assert set(mapping[0]) <= h.hyperedges[0]
 
     def test_star(self):
         h = Hypergraph(5, [{0, i} for i in range(1, 5)])
-        t, _ = shrink_to_tree(h, Hyperforest(range(4)))
+        t, _ = shrink_to_tree(h, greedy_hypertree(h))
         assert t.edges == frozenset((0, i) for i in range(1, 5))
 
     def test_rejects_non_hypertree(self):
+        # the greedy's pair forest of a hypergraph without a hypertree
         h = Hypergraph(3, [{0, 1}])
         with pytest.raises(PreconditionError):
-            shrink_to_tree(h, Hyperforest({0}))
+            shrink_to_tree(h, {0: (0, 1)})
+
+    def test_rejects_bad_pair_forests(self):
+        h = Hypergraph(4, [{0, 1, 2, 3}, {0, 1, 2}, {0, 2, 3}])
+        t, _ = shrink_to_tree(h, {0: (0, 1), 1: (1, 2), 2: (2, 3)})
+        assert t.edges == frozenset({(0, 1), (1, 2), (2, 3)})
+        for pairs in (
+            {0: (0, 1), 1: (1, 3), 2: (2, 3)},  # (1, 3) is outside hyperedge 1
+            {0: (0, 1), 1: (1, 2), 2: (0, 2)},  # the pairs close a cycle
+            {0: (0, 1), 1: (1, 2)},  # too few pairs
+            {0: (0, 1), 1: (1, 2), 2: (3, 3)},  # not a 2-subset
+            {0: (0, 1), 1: (1, 2), 3: (2, 3)},  # no hyperedge 3
+        ):
+            with pytest.raises(PreconditionError):
+                shrink_to_tree(h, pairs)
 
     def test_random_hypertrees_shrink_cleanly(self):
         rng = random.Random(31)
@@ -135,6 +148,20 @@ class TestShrinkToTree:
             assert is_tree_edge_set(range(h.n), sorted(t.edges))
             for eid, (u, v) in mapping.items():
                 assert {u, v} <= set(h.hyperedges[eid])
+
+    def test_greedy_pairs_ignore_the_edges_left_out(self):
+        # the pairs the greedy hands to shrink_to_tree are the forest it
+        # builds from the hypertree's own hyperedges alone
+        rng = random.Random(37)
+        checked = 0
+        while checked < 200:
+            h = random_hypergraph(rng, max_n=8, max_m=12)
+            pairs = greedy_hypertree(h)
+            if pairs is None or len(pairs) == h.m:
+                continue
+            checked += 1
+            assert pairs == _pair_forest(h, sorted(pairs))[0]
+            assert shrink_to_tree(h, pairs)[1] == pairs
 
 
 class TestBorder:
@@ -192,7 +219,7 @@ class TestLargerHypergraphs:
             if p is None:
                 t, mapping = shrink_to_tree(h, ht)
                 assert is_tree_edge_set(range(n), sorted(t.edges))
-                assert all(set(mapping[i]) <= h.hyperedges[i] for i in ht.edge_ids)
+                assert all(set(mapping[i]) <= h.hyperedges[i] for i in ht)
             else:
                 assert len(border(h, p)) <= len(p) - 2
             found[p is None] += 1

@@ -116,6 +116,11 @@ class TestOptInternal:
 
 
 class TestHamiltonianPath:
+    def test_size_guard(self):
+        # the DP's table has 2^n entries; above MAX_N it must refuse, not allocate
+        with pytest.raises(ResourceLimitError):
+            hamiltonian_path(path_graph(19))
+
     def test_agrees_with_brute_force(self):
         rng = random.Random(71)
         graphs = []
