@@ -113,19 +113,12 @@ class SpanningTree:
             )
         deg = {v: 0 for v in vs}
         parent = {v: v for v in vs}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for u, v in es:
             if u not in deg or v not in deg:
                 raise PreconditionError(f"edge ({u}, {v}) leaves the vertex set")
             deg[u] += 1
             deg[v] += 1
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru == rv:
                 raise PreconditionError("edge set contains a cycle")
             parent[ru] = rv
@@ -234,21 +227,28 @@ def dfs_leaf_independent_set(g: Graph, t: SpanningTree) -> frozenset:
     return out
 
 
+def _find(parent, x):
+    """The root of x in a union-find forest, halving the path on the way.
+
+    `parent` maps each element to its parent, a root to itself; it may be a
+    dict or a list.  The package's only union-find lookup.
+    """
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _components(vertices, edges) -> dict:
-    """Union-find: maps each vertex to the lowest vertex of its component."""
+    """Maps each vertex to the lowest vertex of its component.  The result
+    is itself a union-find forest of depth one, so `_find` can go on
+    joining components in it."""
     parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in edges:
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
-    return {v: find(v) for v in vertices}
+    return {v: _find(parent, v) for v in vertices}
 
 
 def _adjacency(edges) -> dict:

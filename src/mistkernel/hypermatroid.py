@@ -7,7 +7,9 @@ pick two of its vertices so that the picked pairs form a forest.  Such a
 choice, {edge id: (a, b)} with a < b, is a *pair forest*; a hyperforest
 with |V| - 1 edges is a hypertree, and its pair forest a spanning tree.
 The pair forest is the certificate: `greedy_hypertree` returns the one it
-builds, and `shrink_to_tree` checks it instead of searching again.
+builds, and `shrink_to_tree` checks it instead of searching again.  The
+greedy runs once per hypergraph: `greedy_hypertree` and
+`deficient_partition` both read the forest `_greedy` keeps on it.
 
 Pair forests are the common independent sets of two matroids on the
 vertex pairs inside hyperedges: the graphic matroid, and the partition
@@ -44,7 +46,7 @@ class Hypergraph:
     Duplicate hyperedges are allowed.
     """
 
-    __slots__ = ("n", "hyperedges")
+    __slots__ = ("n", "hyperedges", "_forest")
 
     def __init__(self, n: int, hyperedges):
         if n < 0:
@@ -59,6 +61,7 @@ class Hypergraph:
             edges.append(fs)
         self.n = n
         self.hyperedges = tuple(edges)
+        self._forest = None  # the greedy's (pairs, adj), once `_greedy` ran
 
     @property
     def m(self) -> int:
@@ -163,6 +166,15 @@ def _pair_forest(h: Hypergraph, ids):
     return pairs, adj
 
 
+def _greedy(h: Hypergraph):
+    """The greedy over all hyperedges in ascending id order, as
+    `_pair_forest` returns it; it runs once per hypergraph and is kept on
+    it.  Callers must not change the result."""
+    if h._forest is None:
+        h._forest = _pair_forest(h, range(h.m))
+    return h._forest
+
+
 # ---------------------------------------------------------------------------
 # Operations
 
@@ -177,11 +189,12 @@ def is_hyperforest(h: Hypergraph, edge_ids) -> bool:
 
 def greedy_hypertree(h: Hypergraph) -> dict | None:
     """The pair forest {edge id: (a, b)} of a hypertree built greedily in
-    ascending edge-id order, or None if the hypergraph has no hypertree."""
+    ascending edge-id order, or None if the hypergraph has no hypertree.
+    The dict is a copy: changing it does not reach `deficient_partition`."""
     if h.n < 1:
         raise PreconditionError("hypergraph must have at least one vertex")
-    pairs, _ = _pair_forest(h, range(h.m))
-    return pairs if len(pairs) == h.n - 1 else None
+    pairs, _ = _greedy(h)
+    return dict(pairs) if len(pairs) == h.n - 1 else None
 
 
 def shrink_to_tree(h: Hypergraph, pairs: dict):
@@ -222,7 +235,7 @@ def deficient_partition(h: Hypergraph) -> Partition | None:
     """
     if h.n < 2:
         raise PreconditionError("need at least two vertices")
-    pairs, adj = _pair_forest(h, range(h.m))
+    pairs, adj = _greedy(h)
     if len(pairs) == h.n - 1:
         return None
     swap, reached = _search(h, pairs, adj, [i for i in range(h.m) if i not in pairs])

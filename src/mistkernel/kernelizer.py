@@ -20,6 +20,7 @@ from .graph import (
     SpanningTree,
     _adjacency,
     _components,
+    _find,
     _tree_path,
     dfs_leaf_independent_set,
     dfs_tree,
@@ -90,50 +91,42 @@ class KernelResult:
 # Finding (S, L)
 
 
-def _degree2_tree_or_descend(g: Graph, s_cur, l_cur):
-    """One induction step: either a B(S, L) tree with L-degrees <= 2, or a
-    smaller (S, L) pair to recurse into.
+def _bsl_tree(g: Graph, pair):
+    """The induction on (S, L): from an expansion pair, descend until the
+    greedy finds a hypertree of {N(w) : w in L} over S, then shrink it to a
+    B(S, L) tree with L-degrees <= 2.  Returns (pair, tree).
 
-    Returns ("tree", SpanningTree) or ("descend", ExpansionPair).
+    Each failed greedy gives a deficient partition; a part P with at least
+    2|P| L-vertices whose neighbours all lie in P yields the next, smaller
+    pair.  An L-vertex outside the pair forest hangs on its lowest neighbour.
     """
-    s_sorted = sorted(s_cur)
-    l_sorted = sorted(l_cur)
-    if len(s_sorted) == 1:
-        s0 = s_sorted[0]
-        return "tree", SpanningTree(
-            set(s_sorted) | set(l_sorted), [(s0, w) for w in l_sorted]
+    while True:
+        s_sorted = sorted(pair.x_prime)
+        l_sorted = sorted(pair.y_prime)
+        idx = {v: i for i, v in enumerate(s_sorted)}
+        h = Hypergraph(
+            len(s_sorted), [[idx[u] for u in g.neighbors(w)] for w in l_sorted]
         )
-    idx = {v: i for i, v in enumerate(s_sorted)}
-    hyperedges = [frozenset(idx[u] for u in g.neighbors(w)) for w in l_sorted]
-    h = Hypergraph(len(s_sorted), hyperedges)
-    ht = greedy_hypertree(h)
-    if ht is not None:
-        skeleton, mapping = shrink_to_tree(h, ht)
-        edges = []
-        used = set()
-        for eid, (a, b) in sorted(mapping.items()):
-            w = l_sorted[eid]
-            used.add(w)
-            edges.append((w, s_sorted[a]))
-            edges.append((w, s_sorted[b]))
-        for w in l_sorted:
-            if w not in used:
-                edges.append((w, min(g.neighbors(w))))
-        return "tree", SpanningTree(set(s_sorted) | set(l_sorted), edges)
-    part = deficient_partition(h)
-    if part is None:
-        raise InvariantError("greedy failed but no deficient partition exists")
-    chosen = None
-    for p in part.parts:
-        orig = frozenset(s_sorted[i] for i in p)
-        inside = [w for w in l_sorted if set(g.neighbors(w)) <= orig]
-        if len(inside) >= 2 * len(orig):
-            chosen = (orig, inside)
+        pairs = greedy_hypertree(h)
+        if pairs is not None:
             break
-    if chosen is None:
-        raise InvariantError("no partition part holds twice its size in L-vertices")
-    x, y = chosen
-    return "descend", find_expansion_2(g, x, y)
+        part = deficient_partition(h)
+        if part is None:
+            raise InvariantError("greedy failed but no deficient partition exists")
+        for p in part.parts:
+            x = frozenset(s_sorted[i] for i in p)
+            y = [w for w in l_sorted if set(g.neighbors(w)) <= x]
+            if len(y) >= 2 * len(x):
+                break
+        else:
+            raise InvariantError("no partition part holds twice its size in L-vertices")
+        pair = find_expansion_2(g, x, y)
+    _, mapping = shrink_to_tree(h, pairs)
+    edges = [(l_sorted[eid], s_sorted[a]) for eid, ab in mapping.items() for a in ab]
+    edges += [
+        (w, min(g.neighbors(w))) for i, w in enumerate(l_sorted) if i not in mapping
+    ]
+    return pair, SpanningTree(pair.x_prime | pair.y_prime, edges)
 
 
 def _promote_s_leaves(tree: SpanningTree, mates: dict) -> SpanningTree:
@@ -212,15 +205,10 @@ def find_sl(g: Graph, independent) -> SLCertificate:
             raise PreconditionError("the given set is not independent")
     if 3 * len(ind) < 2 * n:
         raise PreconditionError("independent set has fewer than 2n/3 vertices")
-    pair = find_expansion_2(g, set(range(n)) - ind, ind)
-    while True:
-        kind, payload = _degree2_tree_or_descend(g, pair.x_prime, pair.y_prime)
-        if kind == "tree":
-            break
-        pair = payload
-    if any(payload.degree(w) > 2 for w in pair.y_prime):
+    pair, tree = _bsl_tree(g, find_expansion_2(g, set(range(n)) - ind, ind))
+    if any(tree.degree(w) > 2 for w in pair.y_prime):
         raise InvariantError("B(S, L) tree gives an L-vertex degree above 2")
-    tree = _promote_s_leaves(payload, pair.mates)
+    tree = _promote_s_leaves(tree, pair.mates)
     cert = SLCertificate(s=pair.x_prime, l=pair.y_prime, tree=tree)
     validate_certificate(g, cert)
     return cert
@@ -433,13 +421,10 @@ def rearrange_tree(g: Graph, t: SpanningTree, cert: SLCertificate) -> SpanningTr
     for a, b in sorted(g.edges):
         if a in l or b in l:
             continue
-        if comp[a] != comp[b]:
+        ra, rb = _find(comp, a), _find(comp, b)
+        if ra != rb:
             edges.add((a, b))
-            new_root = comp[a]
-            old_root = comp[b]
-            for x in range(g.n):
-                if comp[x] == old_root:
-                    comp[x] = new_root
+            comp[rb] = ra
     out = SpanningTree(range(g.n), edges)
     if internal_count(out) < internal_count(t):
         raise InvariantError("rearrangement lost internal vertices")

@@ -26,6 +26,7 @@ from .graph import (
     PreconditionError,
     ResourceLimitError,
     SpanningTree,
+    _find,
     internal_count,
     is_connected,
 )
@@ -119,18 +120,12 @@ def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
     best: list | None = None
     best_count = -1
 
-    def find(p, x):
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
     def connectable(parent: list, start: int) -> bool:
         p = parent[:]
-        comps = len({find(p, v) for v in range(n)})
+        comps = len({_find(p, v) for v in range(n)})
         for i in range(start, m):
             u, v = edges[i]
-            ru, rv = find(p, u), find(p, v)
+            ru, rv = _find(p, u), _find(p, v)
             if ru != rv:
                 p[ru] = rv
                 comps -= 1
@@ -148,7 +143,7 @@ def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
         if i == m:
             return
         u, v = edges[i]
-        ru, rv = find(parent, u), find(parent, v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             p2 = parent[:]
             p2[ru] = rv

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,7 @@ BENCH_TRACING = os.path.join(ROOT, "bench", "tracing.py")
 
 
 def _bindings():
-    tree = ast.parse(open(BENCH_TRACING, encoding="utf-8").read())
+    tree = ast.parse(Path(BENCH_TRACING).read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "BINDINGS" for t in node.targets

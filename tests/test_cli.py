@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -142,10 +143,10 @@ class TestVerifyCmd:
         import json
 
         f, tr, kg = self._kernelized(tmp_path, capsys, star_with_tail(), 3)
-        doc = json.loads(open(tr).read())
+        doc = json.loads(Path(tr).read_text())
         rec = doc["reductions"][0]
         rec["neighbor_map"] = rec["neighbor_map"] + [0] if rec["neighbor_map"] else [0]
-        open(tr, "w").write(json.dumps(doc))
+        Path(tr).write_text(json.dumps(doc))
         code, out, _ = run_cli(
             ["verify", "--graph", f, "--trace", tr, "--kernel", kg], capsys)
         assert code == 1
@@ -160,7 +161,7 @@ class TestVerifyCmd:
         g = Graph(18, [(0, 1)] + [(0, v) for v in range(2, 10)]
                   + [(1, v) for v in range(10, 18)])
         f, tr, kg = self._kernelized(tmp_path, capsys, g, 3)
-        doc = json.loads(open(tr).read())
+        doc = json.loads(Path(tr).read_text())
         assert len(doc["reductions"]) == 2
         values = [None, True, -1, 0, 1, 17, 18, 10**9, 1.5, "x", [], [[]],
                   [-1], [0, 1], [[0, 1, 2]], {}, {"s": 0}]
@@ -196,7 +197,7 @@ class TestVerifyCmd:
                 parent[path[-1]].reverse()
             if bad == doc:
                 continue
-            open(tr, "w").write(json.dumps(bad))
+            Path(tr).write_text(json.dumps(bad))
             code, _, err = run_cli(
                 ["verify", "--graph", f, "--trace", tr, "--kernel", kg], capsys)
             assert code in (1, 2), (kind, path, value)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,13 +7,16 @@ import mistkernel
 from mistkernel import (
     Graph,
     PreconditionError,
+    SpanningTree,
     dfs_leaf_independent_set,
     dfs_tree,
     internal_count,
     is_connected,
 )
 from mistkernel.expansion import _augment
-from bruteforce import brute_max_matching_size
+from mistkernel.generate import generate
+from mistkernel.graph import _components
+from bruteforce import brute_max_matching_size, is_tree_edge_set
 
 
 def path_graph(n):
@@ -54,6 +58,62 @@ class TestConnectivity:
 
     def test_single_vertex(self):
         assert is_connected(Graph(1))
+
+
+class TestSpanningTree:
+    def test_accepts_exactly_the_trees(self):
+        # every (n-1)-edge subset of K5 and of seeded graphs: a tree is
+        # accepted as given, anything else raises
+        graphs = [Graph(5, itertools.combinations(range(5), 2))]
+        graphs += [generate("random-gnm", 7, m=10, seed=s) for s in range(4)]
+        graphs += [generate("tree-plus", 8, m=11, seed=s) for s in range(4)]
+        trees = others = 0
+        for g in graphs:
+            for combo in itertools.combinations(sorted(g.edges), g.n - 1):
+                if is_tree_edge_set(range(g.n), combo):
+                    t = SpanningTree(range(g.n), [(v, u) for u, v in combo])
+                    assert t.edges == frozenset(combo)
+                    for v in range(g.n):
+                        assert t.degree(v) == sum(v in e for e in combo)
+                    trees += 1
+                else:
+                    with pytest.raises(PreconditionError, match="cycle"):
+                        SpanningTree(range(g.n), combo)
+                    others += 1
+        assert trees > 500 and others > 500
+
+    def test_rejects_malformed_input(self):
+        with pytest.raises(PreconditionError, match="leaves the vertex set"):
+            SpanningTree({0, 1, 2}, [(0, 1), (1, 3)])
+        with pytest.raises(PreconditionError, match="at least one vertex"):
+            SpanningTree((), ())
+        with pytest.raises(PreconditionError, match="root"):
+            SpanningTree({0, 1}, [(0, 1)], root=2)
+        with pytest.raises(PreconditionError, match="needs 2 edges"):
+            SpanningTree({0, 1, 2}, [(0, 1), (1, 0)])
+        assert SpanningTree({5}, (), root=5).vertices == frozenset({5})
+
+
+def test_components_match_bfs_labels():
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randrange(1, 13)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = rng.sample(pairs, rng.randrange(len(pairs) + 1) // 3)
+        g = Graph(n, edges)
+        label = {}
+        for v in range(n):
+            if v in label:
+                continue
+            label[v] = v
+            queue = [v]
+            for u in queue:
+                for w in g.neighbors(u):
+                    if w not in label:
+                        label[w] = v
+                        queue.append(w)
+        rng.shuffle(edges)
+        assert _components(range(n), edges) == label
 
 
 class TestDfsTree:

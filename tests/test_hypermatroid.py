@@ -72,6 +72,14 @@ class TestGreedyHypertree:
         # brute force over all 15 partitions confirms deficiency exists
         assert brute_has_deficient_partition(4, h.hyperedges) is not None
 
+    def test_returned_pairs_are_a_copy(self):
+        h = Hypergraph(4, [{0, 1, 2}, {1, 3}, {2, 3}])
+        pairs = greedy_hypertree(h)
+        assert pairs is not None
+        pairs.clear()
+        assert deficient_partition(h) is None
+        assert len(greedy_hypertree(h)) == 3
+
     def test_hypertree_size(self):
         rng = random.Random(23)
         for _ in range(80):

@@ -1,8 +1,10 @@
+import hashlib
 import random
 import time
 
 import pytest
 
+from mistkernel import hypermatroid, kernelizer
 from mistkernel import (
     Graph,
     InvariantError,
@@ -64,6 +66,39 @@ class TestFindSl:
         assert cert.s == frozenset({0})
         assert cert.l == frozenset({2, 3})
         assert cert.tree.edges == frozenset({(0, 2), (0, 3)})
+
+    def test_one_hub_goes_through_the_greedy(self, monkeypatch):
+        calls = []
+        greedy = kernelizer.greedy_hypertree
+        monkeypatch.setattr(
+            kernelizer, "greedy_hypertree", lambda h: calls.append(h) or greedy(h)
+        )
+        cert = find_sl(star_graph(4), {1, 2, 3, 4})
+        assert len(calls) == 1
+        assert cert.tree.edges == star_graph(4).edges
+
+    def test_one_greedy_per_hypergraph(self, monkeypatch):
+        # greedy_hypertree and deficient_partition share one greedy run per
+        # hypergraph, on the pipeline's own hypergraphs
+        counts = {"pair_forest": 0, "greedy": 0, "partition": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for mod, attr, name in (
+            (hypermatroid, "_pair_forest", "pair_forest"),
+            (kernelizer, "greedy_hypertree", "greedy"),
+            (kernelizer, "deficient_partition", "partition"),
+        ):
+            monkeypatch.setattr(mod, attr, counted(name, getattr(mod, attr)))
+        for seed in range(1, 41):
+            kernelize(generate("star-cluster", 150, seed=seed), 49)
+        assert counts["partition"] > 0
+        assert counts["pair_forest"] == counts["greedy"]
 
     def test_small_independent_set_rejected(self):
         g = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
@@ -287,6 +322,24 @@ class TestRearrangeTree:
             assert all(out.degree(v) >= 2 for v in cert.s)
             assert internal_count(out, cert.l) == len(cert.s) - 1
             done += 1
+
+    def test_outputs_are_pinned(self):
+        # sha256 of the rearranged trees of 200 seeded (graph, tree,
+        # certificate) triples, in the style of acceptance criterion 6
+        rng = random.Random(6006)
+        digest = hashlib.sha256()
+        done = 0
+        while done < 200:
+            g = cluster_graph(rng, max_n=16)
+            ind = frozenset(range(max(1, g.n // 4), g.n))
+            if 3 * len(ind) < 2 * g.n:
+                continue
+            out = rearrange_tree(g, random_spanning_tree(g, rng), find_sl(g, ind))
+            digest.update(repr(sorted(out.edges)).encode())
+            done += 1
+        assert digest.hexdigest() == (
+            "914cc247fbca904206c60c8c98e4deb366c65a58ead9931da04f456b0007a2bb"
+        )
 
 
 class TestRule3AtScale:
