@@ -23,7 +23,6 @@ from .hypermatroid import (
 )
 from .kernelizer import (
     KernelResult,
-    ReductionRecord,
     SLCertificate,
     apply_rule3,
     find_sl,
@@ -44,7 +43,6 @@ __all__ = [
     "OptResult",
     "Partition",
     "PreconditionError",
-    "ReductionRecord",
     "ResourceLimitError",
     "SLCertificate",
     "SpanningTree",

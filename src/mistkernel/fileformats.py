@@ -8,8 +8,9 @@ Edge lists look like::
 
 Serialization is canonical (edges sorted lexicographically) so identical
 graphs produce identical bytes.  The trace document records every
-reduction step with enough detail to replay the kernelization bit-exactly
-and to lift kernel solutions offline.
+reduction step as its certificate (S, L, B(S, L) tree); replaying it
+derives the rest, so the kernelization can be checked bit-exactly and
+kernel solutions lifted offline.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from __future__ import annotations
 import json
 
 from .graph import Graph, InvariantError, PreconditionError, SpanningTree
-from .kernelizer import KernelResult, ReductionRecord, replay_reduction
+from .kernelizer import KernelResult, SLCertificate, replay_reduction
 
-TRACE_FORMAT = "mist-trace-v1"
+TRACE_FORMAT = "mist-trace-v2"
 
 
 class FormatError(ValueError):
@@ -77,16 +78,11 @@ def serialize_edge_list(g: Graph) -> str:
 # Trace documents
 
 
-def _record_to_obj(rec: ReductionRecord) -> dict:
+def _record_to_obj(cert: SLCertificate) -> dict:
     return {
-        "s": sorted(rec.s),
-        "l": sorted(rec.l),
-        "v_s": rec.v_s,
-        "v_l": rec.v_l,
-        "neighbor_map": sorted(rec.neighbor_map),
-        "index_map": [[old, new] for old, new in sorted(rec.index_map.items())],
-        "bsl_tree": [[u, v] for u, v in sorted(rec.bsl_tree.edges)],
-        "delta_k": rec.delta_k,
+        "s": sorted(cert.s),
+        "l": sorted(cert.l),
+        "bsl_tree": [[u, v] for u, v in sorted(cert.tree.edges)],
     }
 
 
@@ -97,21 +93,12 @@ def _int(value) -> int:
     return value
 
 
-def _record_from_obj(obj: dict) -> ReductionRecord:
+def _record_from_obj(obj: dict) -> SLCertificate:
     try:
         s = frozenset(map(_int, obj["s"]))
         l = frozenset(map(_int, obj["l"]))
         tree = SpanningTree(s | l, [(_int(u), _int(v)) for u, v in obj["bsl_tree"]])
-        return ReductionRecord(
-            s=s,
-            l=l,
-            v_s=_int(obj["v_s"]),
-            v_l=_int(obj["v_l"]),
-            neighbor_map=frozenset(map(_int, obj["neighbor_map"])),
-            index_map={_int(old): _int(new) for old, new in obj["index_map"]},
-            bsl_tree=tree,
-            delta_k=_int(obj["delta_k"]),
-        )
+        return SLCertificate(s, l, tree)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad reduction record: {exc}") from None
 
@@ -130,13 +117,15 @@ def trace_to_json(result: KernelResult, k_original: int) -> str:
 
 
 def trace_from_json(text: str):
-    """Parse a trace document; returns (meta dict, list of ReductionRecords)."""
+    """Parse a trace document; returns (meta dict, list of SLCertificates)."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"trace is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != TRACE_FORMAT:
+    if not isinstance(doc, dict):
         raise FormatError("not a recognized trace document")
+    if doc.get("format") != TRACE_FORMAT:
+        raise FormatError(f"trace format {doc.get('format')!r} is not {TRACE_FORMAT}")
     if not isinstance(doc.get("reductions"), list):
         raise FormatError("trace reductions must be a list")
     records = [_record_from_obj(o) for o in doc["reductions"]]
@@ -152,11 +141,11 @@ def verify_trace(g: Graph, meta: dict, records, kernel: Graph) -> None:
     """Replay a trace against its input graph and check the kernel matches.
 
     Raises InvariantError naming the first violated invariant;
-    replay_reduction checks the per-record certificate invariants.
+    replay_reduction checks each certificate against the graph it reduces.
     """
     cur = g
-    for rec in records:
-        cur = replay_reduction(cur, rec)
+    for cert in records:
+        cur = replay_reduction(cur, cert)
     if cur != kernel:
         raise InvariantError("replayed kernel differs from the kernel file")
     if meta.get("outcome") != "kernel":
@@ -166,5 +155,5 @@ def verify_trace(g: Graph, meta: dict, records, kernel: Graph) -> None:
     k_original, k_prime = meta.get("k_original"), meta.get("k_prime")
     if type(k_original) is not int or type(k_prime) is not int:
         raise InvariantError("a kernel trace needs integer k_original and k_prime")
-    if k_original - sum(rec.delta_k for rec in records) != k_prime:
+    if k_original - sum(cert.delta_k for cert in records) != k_prime:
         raise InvariantError("k' is inconsistent with the recorded reductions")

@@ -3,9 +3,9 @@
 The reduction loop alternates three rules: stop when the graph is already
 small (n <= 3k), try to solve directly with a DFS tree, and otherwise
 shrink the graph by replacing a certified (S, L) pair with two fresh
-vertices while adjusting the target k.  Every reduction is logged in a
-ReductionRecord so kernel solutions can be lifted back to the original
-graph.
+vertices while adjusting the target k.  Every reduction is logged as its
+SLCertificate, from which the graph surgery is derived again, so kernel
+solutions can be lifted back to the original graph.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .graph import (
     SpanningTree,
     _adjacency,
     _components,
-    _find,
     _tree_path,
     dfs_leaf_independent_set,
     dfs_tree,
@@ -43,31 +42,19 @@ class SLCertificate:
     N(L) = S, L is independent, and `tree` uses only S-L edges of the host
     graph, spans S ∪ L, and has every S-vertex and exactly |S| - 1
     L-vertices internal.  validate_certificate checks all of this.
+
+    A certificate is also the record of its Rule-3 reduction: with the
+    graph it fixes the reduced graph (_contract) and the target drop.
     """
 
     s: frozenset
     l: frozenset
     tree: SpanningTree
 
-
-@dataclass(frozen=True)
-class ReductionRecord:
-    """One graph surgery: enough data to replay it and to lift solutions back.
-
-    Vertex sets s, l and neighbor_map are in the pre-surgery graph's ids;
-    index_map sends surviving old ids to new ids; v_s and v_l are the two
-    added vertices (new ids).  delta_k = 2|s| - 2 is how much the target
-    dropped.
-    """
-
-    s: frozenset
-    l: frozenset
-    v_s: int
-    v_l: int
-    neighbor_map: frozenset
-    index_map: dict
-    bsl_tree: SpanningTree
-    delta_k: int
+    @property
+    def delta_k(self) -> int:
+        """How much Rule 3 lowers the target: 2|S| - 2."""
+        return 2 * len(self.s) - 2
 
 
 @dataclass(frozen=True)
@@ -76,7 +63,8 @@ class KernelResult:
 
     outcome is one of "solved", "kernel", "trivial_yes", "trivial_no".
     Solved / trivial_yes carry a witness tree of the *original* graph;
-    kernel carries the reduced graph, the adjusted target and the trace.
+    kernel carries the reduced graph, the adjusted target and the trace,
+    the SLCertificate of each reduction in order.
     """
 
     outcome: str
@@ -218,99 +206,83 @@ def find_sl(g: Graph, independent) -> SLCertificate:
 # Rule 3 surgery, replay and lifting
 
 
-def _contract(g: Graph, s, l):
+def _survivors(n: int, cert: SLCertificate) -> list:
+    """The vertices Rule 3 keeps, in order: survivor i gets id i in the
+    reduced graph, followed by v_S = len(survivors) and v_L = v_S + 1."""
+    removed = cert.s | cert.l
+    return [v for v in range(n) if v not in removed]
+
+
+def _contract(g: Graph, cert: SLCertificate) -> Graph:
     """The Rule-3 graph: S ∪ L becomes v_S, adjacent to N(S) \\ L, plus a
-    pendant v_L on v_S.  Returns (G_R, index_map, neighbor_map); the
-    survivors keep their order, then v_S = n_R - 2 and v_L = n_R - 1."""
-    removed = s | l
-    survivors = sorted(set(range(g.n)) - removed)
-    index_map = {old: new for new, old in enumerate(survivors)}
+    pendant v_L on v_S."""
+    survivors = _survivors(g.n, cert)
+    new_id = {old: new for new, old in enumerate(survivors)}
     v_s = len(survivors)
-    neighbor_map = g.neighborhood(s) - l
     edges = [
-        (index_map[u], index_map[v])
-        for u, v in g.edges
-        if u not in removed and v not in removed
+        (new_id[u], new_id[v]) for u, v in g.edges if u in new_id and v in new_id
     ]
-    edges.extend((index_map[u], v_s) for u in neighbor_map)
+    edges.extend((new_id[u], v_s) for u in g.neighborhood(cert.s) - cert.l)
     edges.append((v_s, v_s + 1))
-    return Graph(v_s + 2, edges), index_map, neighbor_map
+    return Graph(v_s + 2, edges)
 
 
 def apply_rule3(g: Graph, k: int, cert: SLCertificate):
-    """Replace S ∪ L by two fresh vertices; returns (G_R, k', record).
+    """Replace S ∪ L by two fresh vertices; returns (G_R, k').
 
     The new vertex v_S inherits the outside neighborhood N(S) \\ L, v_L is a
-    pendant on v_S, and the target drops to k' = k - 2|S| + 2.
+    pendant on v_S, and the target drops by cert.delta_k = 2|S| - 2.
     """
-    reduced, index_map, neighbor_map = _contract(g, cert.s, cert.l)
+    reduced = _contract(g, cert)
     if not is_connected(reduced):
         raise InvariantError("reduced graph is disconnected")
-    record = ReductionRecord(
-        s=cert.s,
-        l=cert.l,
-        v_s=reduced.n - 2,
-        v_l=reduced.n - 1,
-        neighbor_map=neighbor_map,
-        index_map=index_map,
-        bsl_tree=cert.tree,
-        delta_k=2 * len(cert.s) - 2,
-    )
-    return reduced, k - record.delta_k, record
+    return reduced, k - cert.delta_k
 
 
-def replay_reduction(g: Graph, record: ReductionRecord) -> Graph:
-    """Re-apply a recorded surgery to `g`, validating the record against it."""
-    validate_certificate(g, SLCertificate(record.s, record.l, record.bsl_tree))
-    reduced, index_map, neighbor_map = _contract(g, record.s, record.l)
-    if record.index_map != index_map:
-        raise InvariantError("index map does not match the surviving vertices")
-    if record.v_s != reduced.n - 2 or record.v_l != reduced.n - 1:
-        raise InvariantError("fresh vertex ids are inconsistent")
-    if record.neighbor_map != neighbor_map:
-        raise InvariantError("neighbor map differs from N(S) \\ L")
-    if record.delta_k != 2 * len(record.s) - 2:
-        raise InvariantError("delta_k differs from 2|S| - 2")
-    return reduced
+def replay_reduction(g: Graph, cert: SLCertificate) -> Graph:
+    """Re-apply a recorded reduction to `g`, validating its certificate there."""
+    validate_certificate(g, cert)
+    return _contract(g, cert)
 
 
 def lift_solution(g_original: Graph, trace, t: SpanningTree) -> SpanningTree:
     """Lift a spanning tree of the final reduced graph back to the original.
 
-    Records are unwound last-to-first: drop the two fresh vertices, splice
-    in the stored B(S, L) tree, and reattach each former tree-neighbor of
-    v_S through its lowest-index S-neighbor.  The lifted tree gains at
-    least delta_k internal vertices per record.
+    Certificates are unwound last-to-first: drop the two fresh vertices,
+    splice in the certificate's B(S, L) tree, and reattach each former
+    tree-neighbor of v_S through its lowest-index S-neighbor.  The lifted
+    tree gains at least delta_k internal vertices per reduction.
     """
     graphs = [g_original]
-    for rec in trace:
-        graphs.append(replay_reduction(graphs[-1], rec))
+    for cert in trace:
+        graphs.append(replay_reduction(graphs[-1], cert))
     if t.vertices != frozenset(range(graphs[-1].n)):
         raise PreconditionError("tree does not span the final reduced graph")
     cur = t
-    for rec, g_pre in zip(reversed(list(trace)), reversed(graphs[:-1])):
+    for cert, g_pre in zip(reversed(list(trace)), reversed(graphs[:-1])):
         before = internal_count(cur)
-        cur = _unwind(g_pre, rec, cur)
-        if internal_count(cur) < before + rec.delta_k:
+        cur = _unwind(g_pre, cert, cur)
+        if internal_count(cur) < before + cert.delta_k:
             raise InvariantError("lift lost internal vertices")
     return cur
 
 
-def _unwind(g_pre: Graph, rec: ReductionRecord, t: SpanningTree) -> SpanningTree:
-    inv = {new: old for old, new in rec.index_map.items()}
+def _unwind(g_pre: Graph, cert: SLCertificate, t: SpanningTree) -> SpanningTree:
+    inv = _survivors(g_pre.n, cert)  # reduced id -> id in g_pre
+    v_s, v_l = len(inv), len(inv) + 1
     vs_neighbors = []
     edges = set()
     for a, b in t.edges:
-        if rec.v_s in (a, b):
-            vs_neighbors.append(b if a == rec.v_s else a)
-        elif rec.v_l not in (a, b):
+        if v_s in (a, b):
+            vs_neighbors.append(b if a == v_s else a)
+        elif v_l not in (a, b):
             edges.add(normalize_edge(inv[a], inv[b]))
-    if rec.v_l not in vs_neighbors:
+    if v_l not in vs_neighbors:
         raise InvariantError("pendant vertex is detached from v_S in the tree")
-    edges |= rec.bsl_tree.edges
-    s_sorted = sorted(rec.s)
+    edges |= cert.tree.edges
+    s_sorted = sorted(cert.s)
     for u_new in vs_neighbors:
-        if u_new == rec.v_l:
+        if u_new == v_l:
             continue
         u_old = inv[u_new]
         attach = next((v for v in s_sorted if g_pre.has_edge(u_old, v)), None)
@@ -350,7 +322,7 @@ def kernelize(g: Graph, k: int) -> KernelResult:
         )
     cur = g
     k_cur = k
-    trace: list[ReductionRecord] = []
+    trace: list[SLCertificate] = []
     # The DFS solve check runs before the size check so that instances a
     # single DFS already settles are answered, not merely shrunk.
     while internal_count(t) < k_cur:
@@ -374,10 +346,10 @@ def kernelize(g: Graph, k: int) -> KernelResult:
                 )
             t = cert.tree
             break
-        reduced, k_next, rec = apply_rule3(cur, k_cur, cert)
+        reduced, k_next = apply_rule3(cur, k_cur, cert)
         if reduced.n >= cur.n or k_next > k_cur:
             raise InvariantError("reduction failed to make progress")
-        trace.append(rec)
+        trace.append(cert)
         cur, k_cur = reduced, k_next
         t = dfs_tree(cur, 0)
     lifted = lift_solution(g, trace, t)
@@ -394,10 +366,12 @@ def rearrange_tree(g: Graph, t: SpanningTree, cert: SLCertificate) -> SpanningTr
     """Rebuild `t` around the certificate tree without losing internal vertices.
 
     Drops all tree edges touching L, separates S-vertices that still share
-    a forest component, splices in the certificate tree, and reconnects the
-    remaining components with graph edges avoiding L.  The result keeps at
-    least as many internal vertices as `t`, makes every S-vertex internal,
-    and leaves exactly |S| - 1 L-vertices internal.
+    a forest component, and splices in the certificate tree.  Every forest
+    component then holds exactly one S-vertex (it met L through N(L) = S),
+    so the certificate tree, which spans S ∪ L, joins them into a spanning
+    tree.  The result keeps at least as many internal vertices as `t`,
+    makes every S-vertex internal, and leaves exactly |S| - 1 L-vertices
+    internal.
     """
     validate_certificate(g, cert)
     if t.vertices != frozenset(range(g.n)):
@@ -416,16 +390,12 @@ def rearrange_tree(g: Graph, t: SpanningTree, cert: SLCertificate) -> SpanningTr
             break
         path = _tree_path(_adjacency(forest), *pair)
         forest.remove(normalize_edge(path[0], path[1]))
-    edges = forest | cert.tree.edges
-    comp = _components(range(g.n), edges)
-    for a, b in sorted(g.edges):
-        if a in l or b in l:
-            continue
-        ra, rb = _find(comp, a), _find(comp, b)
-        if ra != rb:
-            edges.add((a, b))
-            comp[rb] = ra
-    out = SpanningTree(range(g.n), edges)
+    try:
+        out = SpanningTree(range(g.n), forest | cert.tree.edges)
+    except PreconditionError:
+        raise InvariantError(
+            "forest and certificate tree do not form a spanning tree"
+        ) from None
     if internal_count(out) < internal_count(t):
         raise InvariantError("rearrangement lost internal vertices")
     return out

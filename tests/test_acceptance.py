@@ -16,7 +16,6 @@ import pytest
 from mistkernel import (
     Graph,
     Hypergraph,
-    SLCertificate,
     border,
     decide_pist,
     deficient_partition,
@@ -205,8 +204,7 @@ def test_criterion_4_expansion_lemma():
 def _check_trace_certificates(g, trace):
     """Validate every (S, L) certificate along a reduction trace."""
     cur = g
-    for rec in trace:
-        cert = SLCertificate(rec.s, rec.l, rec.bsl_tree)
+    for cert in trace:
         validate_certificate(cur, cert)
         if len(cert.s) <= 12:
             s_sorted = sorted(cert.s)
@@ -216,7 +214,7 @@ def _check_trace_certificates(g, trace):
                     for v in z:
                         seen.update(w for w in cur.neighbors(v) if w in cert.l)
                     assert len(seen) >= 2 * r
-        cur = replay_reduction(cur, rec)
+        cur = replay_reduction(cur, cert)
 
 
 def test_criterion_5_certificate_suite(large_runs, small_runs):

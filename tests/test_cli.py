@@ -145,7 +145,9 @@ class TestVerifyCmd:
         f, tr, kg = self._kernelized(tmp_path, capsys, star_with_tail(), 3)
         doc = json.loads(Path(tr).read_text())
         rec = doc["reductions"][0]
-        rec["neighbor_map"] = rec["neighbor_map"] + [0] if rec["neighbor_map"] else [0]
+        # drop the last L-vertex and its tree edges
+        w = rec["l"].pop()
+        rec["bsl_tree"] = [e for e in rec["bsl_tree"] if w not in e]
         Path(tr).write_text(json.dumps(doc))
         code, out, _ = run_cli(
             ["verify", "--graph", f, "--trace", tr, "--kernel", kg], capsys)
@@ -179,7 +181,7 @@ class TestVerifyCmd:
             # on the ids and tree edges inside
             for path in paths(doc):
                 yield "delete", path, None
-                for value in values if len(path) <= 3 else rng.sample(values, 2):
+                for value in values if len(path) <= 3 else rng.sample(values, 3):
                     yield "set", path, value
             yield "reverse", ("reductions",), None
 
@@ -204,6 +206,34 @@ class TestVerifyCmd:
             assert "Traceback" not in err
             checked += 1
         assert checked > 500
+
+    def test_v1_trace_is_a_format_error(self, tmp_path, capsys):
+        import json
+
+        f, tr, kg = self._kernelized(tmp_path, capsys, star_with_tail(), 3)
+        doc = json.loads(Path(tr).read_text())
+        # the same reduction as the previous trace format wrote it
+        doc["format"] = "mist-trace-v1"
+        doc["reductions"][0].update(v_s=2, v_l=3, neighbor_map=[1],
+                                    index_map=[[1, 0], [10, 1]], delta_k=0)
+        Path(tr).write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            ["verify", "--graph", f, "--trace", tr, "--kernel", kg], capsys)
+        assert code == 2
+        assert "mist-trace-v1" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("flag", ["--out-trace", "--out-graph"])
+    def test_format_error_without_traceback(self, tmp_path, capsys, flag):
+        f = write_graph(tmp_path, "g.gr", star_with_tail())
+        missing = str(tmp_path / "missing" / "out")
+        code, _, err = run_cli(["kernelize", "--in", f, "--k", "3", flag, missing], capsys)
+        assert code == 2
+        assert err.startswith(f"format error: cannot write {missing}")
+        assert "Traceback" not in err
 
 
 class TestResourceLimit:

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in src/."""
+"""Every demo script runs to completion against the library in src/, with
+warnings turned into errors as in the test suite."""
 
 import glob
 import os
@@ -19,7 +20,7 @@ def test_demos_exist():
 def test_demo_runs(path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
-        [sys.executable, path], cwd=ROOT, env=env, capture_output=True, text=True,
-        timeout=120,
+        [sys.executable, "-W", "error", path], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -18,6 +18,25 @@ def star_with_tail():
     return Graph(11, [(0, i) for i in range(1, 10)] + [(1, 10)])
 
 
+def two_star_chain(c):
+    # c blocks of two adjacent 8-leaf stars; block i's second center meets
+    # block i + 1's first center
+    edges = []
+    for i in range(c):
+        o = 18 * i
+        edges += [(o, o + 1)] + [(o, o + v) for v in range(2, 10)]
+        edges += [(o + 1, o + v) for v in range(10, 18)]
+        if i:
+            edges.append((o - 17, o))
+    return Graph(18 * c, edges)
+
+
+def count_ints(node):
+    if isinstance(node, list):
+        return sum(map(count_ints, node))
+    return 1 if type(node) is int else 0
+
+
 class TestEdgeList:
     def test_round_trip(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 4), (3, 4)])
@@ -74,19 +93,51 @@ class TestTraceDocument:
         assert meta["k_prime"] == res.k_prime
         verify_trace(g, meta, records, res.graph)
 
-    def test_verify_rejects_tampered_neighbor_map(self):
+    def test_verify_rejects_tampered_l(self):
         g = Graph(12, [(0, 1)] + [(0, v) for v in range(2, 8)] + [(1, v) for v in range(8, 12)])
         res = kernelize(g, 3)
         assert res.outcome == "kernel" and res.trace
         doc = json.loads(trace_to_json(res, 3))
         rec = doc["reductions"][0]
-        if rec["neighbor_map"]:
-            rec["neighbor_map"] = rec["neighbor_map"][:-1]
-        else:
-            rec["neighbor_map"] = [0]
+        # drop the last L-vertex and its tree edges
+        w = rec["l"].pop()
+        rec["bsl_tree"] = [e for e in rec["bsl_tree"] if w not in e]
         meta, records = trace_from_json(json.dumps(doc))
         with pytest.raises(InvariantError):
             verify_trace(g, meta, records, res.graph)
+
+    def test_records_hold_only_the_certificate(self):
+        doc = json.loads(trace_to_json(kernelize(two_star_chain(2), 5), 5))
+        assert doc["format"] == "mist-trace-v2" and doc["reductions"]
+        for rec in doc["reductions"]:
+            assert set(rec) == {"s", "l", "bsl_tree"}
+
+    def test_record_size_does_not_grow_with_n(self):
+        # |S| + |L| ids plus a tree of |S| + |L| - 1 edges, whatever n is
+        sizes = set()
+        for c in (1, 2, 4):
+            res = kernelize(two_star_chain(c), 2 * c + 1)
+            assert res.outcome == "kernel" and len(res.trace) >= c
+            for rec in json.loads(trace_to_json(res, 2 * c + 1))["reductions"]:
+                ints = count_ints(list(rec.values()))
+                assert ints == 3 * (len(rec["s"]) + len(rec["l"])) - 2
+                sizes.add(ints)
+        assert len(sizes) == 1
+
+    def test_v1_document_rejected(self):
+        # star_with_tail() at k = 3, as the previous trace format wrote it
+        v1 = {
+            "format": "mist-trace-v1", "k_original": 3, "k_prime": 3,
+            "kernel_edges": 3, "kernel_vertices": 4, "outcome": "kernel",
+            "reductions": [{
+                "s": [0], "l": [2, 3, 4, 5, 6, 7, 8, 9],
+                "bsl_tree": [[0, v] for v in range(2, 10)],
+                "v_s": 2, "v_l": 3, "neighbor_map": [1],
+                "index_map": [[1, 0], [10, 1]], "delta_k": 0,
+            }],
+        }
+        with pytest.raises(FormatError, match="mist-trace-v1"):
+            trace_from_json(json.dumps(v1))
 
     def test_verify_rejects_non_independent_l(self):
         g = star_with_tail()
@@ -125,8 +176,8 @@ class TestTraceDocument:
             with pytest.raises(FormatError):
                 trace_from_json(json.dumps(bad))
         rec = doc["reductions"][0]
-        for key, value in (("s", [float(v) for v in rec["s"]]), ("delta_k", "2"),
-                           ("bsl_tree", [[0, 1, 2]]), ("index_map", [[0]])):
+        for key, value in (("s", [float(v) for v in rec["s"]]), ("l", None),
+                           ("bsl_tree", [[0, 1, 2]]), ("bsl_tree", [[0, True]])):
             bad = dict(doc, reductions=[dict(rec, **{key: value})])
             with pytest.raises(FormatError):
                 trace_from_json(json.dumps(bad))

@@ -124,9 +124,9 @@ class TestApplyRule3:
     def test_delta_zero_for_single_s(self):
         g = double_star()
         cert = find_sl(g, {2, 3, 4, 5})
-        reduced, k2, rec = apply_rule3(g, 3, cert)
+        reduced, k2 = apply_rule3(g, 3, cert)
         assert k2 == 3
-        assert rec.delta_k == 0
+        assert cert.delta_k == 0
         assert reduced.n == g.n - len(cert.s) - len(cert.l) + 2
         # equivalence at k = 3 via brute force on both sides
         assert (brute_opt_internal(g) >= 3) == (brute_opt_internal(reduced) >= k2)
@@ -134,35 +134,28 @@ class TestApplyRule3:
     def test_k_formula(self):
         g = double_star()
         cert = find_sl(g, {2, 3, 4, 5})
-        _, k2, rec = apply_rule3(g, 10, cert)
+        _, k2 = apply_rule3(g, 10, cert)
         assert k2 == 10 - 2 * len(cert.s) + 2
 
     def test_replay_matches(self):
         g = double_star()
         cert = find_sl(g, {2, 3, 4, 5})
-        reduced, _, rec = apply_rule3(g, 3, cert)
-        assert replay_reduction(g, rec) == reduced
+        reduced, _ = apply_rule3(g, 3, cert)
+        assert replay_reduction(g, cert) == reduced
 
     def test_replay_rejects_tampered_record(self):
         from dataclasses import replace
 
         g = double_star()
         cert = find_sl(g, {2, 3, 4, 5})
-        _, _, rec = apply_rule3(g, 3, cert)
-        # S = {0}, L = {2, 3}; (2, 3) is not an S-L edge of g
-        assert rec.index_map == {1: 0, 4: 1, 5: 2}
-        assert rec.bsl_tree.edges == frozenset({(0, 2), (0, 3)})
-        tampered = [
-            (replace(rec, index_map={1: 1, 4: 0, 5: 2}), "index map"),
-            (replace(rec, v_s=rec.v_s + 1), "fresh vertex"),
-            (replace(rec, neighbor_map=frozenset()), "neighbor map"),
-            (replace(rec, delta_k=rec.delta_k + 2), "delta_k"),
-            (replace(rec, bsl_tree=SpanningTree({0, 2, 3}, [(0, 2), (2, 3)])),
-             "S-L edge"),
-        ]
-        for bad, reason in tampered:
-            with pytest.raises(InvariantError, match=reason):
-                replay_reduction(g, bad)
+        # S = {0}, L = {2, 3}: survivors 1, 4, 5 become 0, 1, 2, then
+        # v_S = 3 takes N(S) \ L = {1} and v_L = 4 hangs on it
+        assert cert.tree.edges == frozenset({(0, 2), (0, 3)})
+        assert replay_reduction(g, cert) == Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+        # (2, 3) is not an S-L edge of g
+        bad = replace(cert, tree=SpanningTree({0, 2, 3}, [(0, 2), (2, 3)]))
+        with pytest.raises(InvariantError, match="S-L edge"):
+            replay_reduction(g, bad)
 
 
 class TestValidateCertificate:
@@ -265,12 +258,12 @@ class TestLiftSolution:
     def test_all_kernel_trees_lift(self):
         g = double_star()
         cert = find_sl(g, {2, 3, 4, 5})
-        reduced, _, rec = apply_rule3(g, 3, cert)
+        reduced, _ = apply_rule3(g, 3, cert)
         for edges in all_spanning_trees(reduced):
             t = SpanningTree(range(reduced.n), edges)
-            lifted = lift_solution(g, [rec], t)
+            lifted = lift_solution(g, [cert], t)
             assert lifted.edges <= g.edges
-            assert internal_count(lifted) >= internal_count(t) + rec.delta_k
+            assert internal_count(lifted) >= internal_count(t) + cert.delta_k
 
     def test_stacked_reductions(self):
         # two 8-leaf stars with adjacent centers reduce twice at k = 3
