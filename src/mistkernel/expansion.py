@@ -109,7 +109,9 @@ def find_expansion_2(g: Graph, x, y) -> ExpansionPair:
 
     xs = sorted(x_set)
     left = [(v, c) for v in xs for c in (0, 1)]
-    adj = {(v, c): tuple(w for w in g.neighbors(v) if w in ys) for v, c in left}
+    adj = {}
+    for v in xs:
+        adj[v, 0] = adj[v, 1] = tuple(w for w in g.neighbors(v) if w in ys)
     match_left = _augment(adj, left)
     if len(match_left) < len(left):
         match_right = {w: u for u, w in match_left.items()}

@@ -7,10 +7,10 @@ Edge lists look like::
     e <u> <v>        (0 <= u < v < n, one line per edge, m lines)
 
 Serialization is canonical (edges sorted lexicographically) so identical
-graphs produce identical bytes.  The trace document records every
-reduction step as its certificate (S, L, B(S, L) tree); replaying it
-derives the rest, so the kernelization can be checked bit-exactly and
-kernel solutions lifted offline.
+graphs produce identical bytes.  A trace is one line of JSON with sorted
+keys.  It records every reduction step as its certificate (S, L, B(S, L)
+tree); replaying it derives the rest, so the kernelization can be checked
+bit-exactly and kernel solutions lifted offline.
 """
 
 from __future__ import annotations
@@ -28,37 +28,32 @@ class FormatError(ValueError):
 
 
 def parse_edge_list(text: str) -> Graph:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines.append(line)
-    if not lines:
+    # each line split into its fields once; blank and comment lines dropped
+    rows = (f for f in map(str.split, text.splitlines()) if f and f[0][0] != "#")
+    head = next(rows, None)
+    if head is None:
         raise FormatError("empty document")
-    head = lines[0].split()
     if len(head) != 3 or head[0] != "p":
-        raise FormatError(f"bad header line: {lines[0]!r}")
+        raise FormatError(f"bad header line: {' '.join(head)!r}")
     try:
         n, m = int(head[1]), int(head[2])
     except ValueError:
-        raise FormatError(f"bad header line: {lines[0]!r}") from None
+        raise FormatError(f"bad header line: {' '.join(head)!r}") from None
     if n < 0 or m < 0:
         raise FormatError("negative counts in header")
-    if len(lines) - 1 != m:
-        raise FormatError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []
-    for line in lines[1:]:
-        parts = line.split()
+    for parts in rows:
         if len(parts) != 3 or parts[0] != "e":
-            raise FormatError(f"bad edge line: {line!r}")
+            raise FormatError(f"bad edge line: {' '.join(parts)!r}")
         try:
             u, v = int(parts[1]), int(parts[2])
         except ValueError:
-            raise FormatError(f"bad edge line: {line!r}") from None
+            raise FormatError(f"bad edge line: {' '.join(parts)!r}") from None
         if not 0 <= u < v < n:
             raise FormatError(f"edge ({u}, {v}) violates 0 <= u < v < {n}")
         edges.append((u, v))
+    if len(edges) != m:
+        raise FormatError(f"header promises {m} edges, found {len(edges)}")
     # m edges touch at most 2m vertices; refuse before allocating n of them
     if n >= 2 and n > 2 * m:
         raise PreconditionError("graph must be connected")
@@ -82,7 +77,7 @@ def _record_to_obj(cert: SLCertificate) -> dict:
     return {
         "s": sorted(cert.s),
         "l": sorted(cert.l),
-        "bsl_tree": [[u, v] for u, v in sorted(cert.tree.edges)],
+        "bsl_tree": sorted(cert.tree.edges),  # pairs encode as JSON arrays
     }
 
 
@@ -113,7 +108,7 @@ def trace_to_json(result: KernelResult, k_original: int) -> str:
         "kernel_edges": result.graph.m if result.graph is not None else None,
         "reductions": [_record_to_obj(r) for r in result.trace],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def trace_from_json(text: str):

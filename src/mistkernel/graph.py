@@ -43,22 +43,21 @@ class Graph:
         if n < 0:
             raise PreconditionError("vertex count must be nonnegative")
         es = set()
+        adj = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise PreconditionError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise PreconditionError(f"self-loop at vertex {u}")
-            e = normalize_edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in es:
                 raise PreconditionError(f"parallel edge {e}")
             es.add(e)
-        adj = [[] for _ in range(n)]
-        for u, v in es:
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
         self.edges = frozenset(es)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self._adj = tuple(map(tuple, map(sorted, adj)))
 
     @property
     def m(self) -> int:
@@ -106,7 +105,7 @@ class SpanningTree:
         vs = frozenset(vertices)
         if not vs:
             raise PreconditionError("a tree needs at least one vertex")
-        es = frozenset(normalize_edge(u, v) for u, v in edges)
+        es = frozenset((u, v) if u < v else (v, u) for u, v in edges)
         if len(es) != len(vs) - 1:
             raise PreconditionError(
                 f"tree on {len(vs)} vertices needs {len(vs) - 1} edges, got {len(es)}"
@@ -182,25 +181,21 @@ def dfs_tree(g: Graph, root: int) -> SpanningTree:
     """
     if not (0 <= root < g.n):
         raise PreconditionError(f"root {root} out of range")
+    adj = g._adj
     parent = [-1] * g.n
     visited = [False] * g.n
     visited[root] = True
-    ptr = [0] * g.n
-    stack = [root]
+    # each stack entry is a vertex with the iterator over its unscanned neighbors
+    stack = [(root, iter(adj[root]))]
     while stack:
-        u = stack[-1]
-        nbrs = g.neighbors(u)
-        advanced = False
-        while ptr[u] < len(nbrs):
-            w = nbrs[ptr[u]]
-            ptr[u] += 1
+        u, rest = stack[-1]
+        for w in rest:
             if not visited[w]:
                 visited[w] = True
                 parent[w] = u
-                stack.append(w)
-                advanced = True
+                stack.append((w, iter(adj[w])))
                 break
-        if not advanced:
+        else:
             stack.pop()
     if not all(visited):
         raise PreconditionError("graph must be connected")
@@ -211,8 +206,11 @@ def dfs_tree(g: Graph, root: int) -> SpanningTree:
 def internal_count(t: SpanningTree, subset=None) -> int:
     """Number of subset vertices with tree degree >= 2 (subset defaults to all)."""
     if subset is None:
-        return sum(1 for v in t.vertices if t.degree(v) >= 2)
-    return sum(1 for v in subset if t.degree(v) >= 2)
+        return sum(1 for d in t._deg.values() if d >= 2)
+    try:
+        return sum(1 for v in subset if t._deg[v] >= 2)
+    except KeyError as exc:
+        raise PreconditionError(f"vertex {exc.args[0]} is not in the tree") from None
 
 
 def dfs_leaf_independent_set(g: Graph, t: SpanningTree) -> frozenset:

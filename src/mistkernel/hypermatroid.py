@@ -56,7 +56,7 @@ class Hypergraph:
             fs = frozenset(e)
             if not fs:
                 raise PreconditionError("hyperedges must be nonempty")
-            if any(not (0 <= v < n) for v in fs):
+            if min(fs) < 0 or max(fs) >= n:
                 raise PreconditionError(f"hyperedge {sorted(fs)} out of range")
             edges.append(fs)
         self.n = n

@@ -10,6 +10,7 @@ solutions can be lifted back to the original graph.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .expansion import find_expansion_2
@@ -82,7 +83,8 @@ class KernelResult:
 def _bsl_tree(g: Graph, pair):
     """The induction on (S, L): from an expansion pair, descend until the
     greedy finds a hypertree of {N(w) : w in L} over S, then shrink it to a
-    B(S, L) tree with L-degrees <= 2.  Returns (pair, tree).
+    B(S, L) tree with L-degrees <= 2.  Returns (pair, the tree's edges as
+    (L-vertex, S-vertex) pairs).
 
     Each failed greedy gives a deficient partition; a part P with at least
     2|P| L-vertices whose neighbours all lie in P yields the next, smaller
@@ -114,27 +116,28 @@ def _bsl_tree(g: Graph, pair):
     edges += [
         (w, min(g.neighbors(w))) for i, w in enumerate(l_sorted) if i not in mapping
     ]
-    return pair, SpanningTree(pair.x_prime | pair.y_prime, edges)
+    return pair, edges
 
 
-def _promote_s_leaves(tree: SpanningTree, mates: dict) -> SpanningTree:
-    """Edge swaps that make every S-vertex internal without touching L-degrees.
+def _promote_s_leaves(pair, tree_edges) -> SpanningTree:
+    """The certificate's tree: edge swaps on the (L, S) edges of a B(S, L)
+    tree of the expansion pair that make every S-vertex internal without
+    touching L-degrees.
 
-    `mates` gives each S-vertex two private L-neighbors (the doubled
-    matching of the expansion pair (S, L)); they supply the replacement
-    edges: while some S-vertex is a leaf, add one of its unused mate edges
-    and drop the other tree edge at that edge's L-endpoint, keeping the
-    tree spanning.
+    The pair's `mates` give each S-vertex two private L-neighbors (the
+    doubled matching); they supply the replacement edges: while some
+    S-vertex is a leaf, add one of its unused mate edges and drop the other
+    tree edge at that edge's L-endpoint, keeping the tree spanning.
     """
-    s_sorted = sorted(mates)
-    edges = set(tree.edges)
-    deg = {v: tree.degree(v) for v in tree.vertices}
+    s_sorted = sorted(pair.mates)
+    edges = {normalize_edge(u, v) for u, v in tree_edges}
+    deg = Counter(v for _, v in tree_edges)  # S-degrees; only they change
     for _round in range(len(s_sorted) + 1):
         leaf_s = [v for v in s_sorted if deg[v] == 1]
         if not leaf_s:
             break
         v = leaf_s[0]
-        free = [u for u in mates[v] if normalize_edge(u, v) not in edges]
+        free = [u for u in pair.mates[v] if normalize_edge(u, v) not in edges]
         if not free:
             raise InvariantError("leaf S-vertex has no unused mate edge")
         u = free[0]
@@ -149,25 +152,25 @@ def _promote_s_leaves(tree: SpanningTree, mates: dict) -> SpanningTree:
         deg[v] += 1
     else:
         raise InvariantError("leaf promotion did not terminate within |S| rounds")
-    return SpanningTree(tree.vertices, edges)
+    return SpanningTree(pair.x_prime | pair.y_prime, edges)
 
 
 def validate_certificate(g: Graph, cert: SLCertificate) -> None:
     """Check every invariant of an (S, L) certificate; raise InvariantError."""
     s, l, tree = cert.s, cert.l, cert.tree
-    if not s or not l or (s | l) - set(range(g.n)):
+    if not s or not l or min(s | l) < 0 or max(s | l) >= g.n:
         raise InvariantError("S and L must be nonempty sets of vertices of the graph")
     if s & l:
         raise InvariantError("S and L overlap")
-    for u, v in g.edges:
-        if u in l and v in l:
-            raise InvariantError("L is not independent")
-    if g.neighborhood(l) != s:
+    n_l = set().union(*map(g.neighbors, l))  # the union of L's neighbour lists
+    if not n_l.isdisjoint(l):
+        raise InvariantError("L is not independent")
+    if n_l != s:
         raise InvariantError("N(L) differs from S")
     if tree.vertices != s | l:
         raise InvariantError("tree does not span S ∪ L")
-    for a, b in tree.edges:
-        if not g.has_edge(a, b) or (a in s) == (b in s):
+    for a, b in tree.edges:  # canonical (min, max), as in g.edges
+        if (a, b) not in g.edges or (a in s) == (b in s):
             raise InvariantError("tree edge is not an S-L edge of the graph")
     if any(tree.degree(v) < 2 for v in s):
         raise InvariantError("an S-vertex is a leaf of the certificate tree")
@@ -188,15 +191,16 @@ def find_sl(g: Graph, independent) -> SLCertificate:
     if not is_connected(g):
         raise PreconditionError("graph must be connected")
     ind = frozenset(independent)
-    for u, v in g.edges:
-        if u in ind and v in ind:
-            raise PreconditionError("the given set is not independent")
+    if ind and (min(ind) < 0 or max(ind) >= n):
+        raise PreconditionError(f"the given set holds a vertex outside 0..{n - 1}")
+    if any(not ind.isdisjoint(g.neighbors(v)) for v in ind):
+        raise PreconditionError("the given set is not independent")
     if 3 * len(ind) < 2 * n:
         raise PreconditionError("independent set has fewer than 2n/3 vertices")
-    pair, tree = _bsl_tree(g, find_expansion_2(g, set(range(n)) - ind, ind))
-    if any(tree.degree(w) > 2 for w in pair.y_prime):
+    pair, edges = _bsl_tree(g, find_expansion_2(g, set(range(n)) - ind, ind))
+    if max(Counter(w for w, _ in edges).values()) > 2:
         raise InvariantError("B(S, L) tree gives an L-vertex degree above 2")
-    tree = _promote_s_leaves(tree, pair.mates)
+    tree = _promote_s_leaves(pair, edges)
     cert = SLCertificate(s=pair.x_prime, l=pair.y_prime, tree=tree)
     validate_certificate(g, cert)
     return cert
@@ -280,12 +284,12 @@ def _unwind(g_pre: Graph, cert: SLCertificate, t: SpanningTree) -> SpanningTree:
     if v_l not in vs_neighbors:
         raise InvariantError("pendant vertex is detached from v_S in the tree")
     edges |= cert.tree.edges
-    s_sorted = sorted(cert.s)
     for u_new in vs_neighbors:
         if u_new == v_l:
             continue
         u_old = inv[u_new]
-        attach = next((v for v in s_sorted if g_pre.has_edge(u_old, v)), None)
+        # neighbor lists ascend, so this is u_old's lowest S-neighbor
+        attach = next((v for v in g_pre.neighbors(u_old) if v in cert.s), None)
         if attach is None:
             raise InvariantError(f"no edge from {u_old} back into S")
         edges.add(normalize_edge(u_old, attach))

@@ -33,12 +33,22 @@ def star_graph(m):
 
 class TestGraphBasics:
     def test_rejects_self_loop(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^self-loop at vertex 1$"):
             Graph(3, [(1, 1)])
 
     def test_rejects_parallel_edges(self):
-        with pytest.raises(PreconditionError):
+        # the message names the edge in canonical (min, max) form
+        with pytest.raises(PreconditionError, match=r"^parallel edge \(0, 1\)$"):
             Graph(3, [(0, 1), (1, 0)])
+
+    def test_rejects_out_of_range_edges(self):
+        for edge in ((0, 3), (-1, 2), (3, 3)):
+            # the range check comes before the self-loop check
+            with pytest.raises(
+                PreconditionError,
+                match=rf"^edge \({edge[0]}, {edge[1]}\) out of range for n=3$",
+            ):
+                Graph(3, [(0, 1), edge])
 
     def test_adjacency_symmetric_and_sorted(self):
         g = Graph(4, [(2, 0), (3, 1), (0, 1)])
@@ -160,6 +170,12 @@ class TestInternalCount:
     def test_path_endpoints_subset(self):
         t = dfs_tree(path_graph(5), 0)
         assert internal_count(t, {0, 4}) == 0
+
+    def test_vertex_outside_tree_rejected(self):
+        t = SpanningTree(range(3), [(0, 1), (1, 2)])
+        assert internal_count(t, [0, 1]) == 1
+        with pytest.raises(PreconditionError, match=r"^vertex 7 is not in the tree$"):
+            internal_count(t, [0, 7])
 
     def test_matches_leaf_complement(self):
         rng = random.Random(3)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import time
 
@@ -21,6 +22,7 @@ from mistkernel import (
     replay_reduction,
     validate_certificate,
 )
+from mistkernel.fileformats import trace_to_json
 from mistkernel.generate import generate
 from bruteforce import (
     all_spanning_trees,
@@ -105,6 +107,17 @@ class TestFindSl:
         with pytest.raises(PreconditionError):
             find_sl(g, {0, 2, 4})
 
+    def test_vertex_outside_graph_rejected(self):
+        g = star_graph(5)
+        for ind in ({1, 2, 3, 4, 9}, {-1, 1, 2, 3, 4}):
+            with pytest.raises(PreconditionError, match=r"outside 0\.\.5"):
+                find_sl(g, ind)
+
+    def test_dependent_set_rejected(self):
+        g = star_graph(5)
+        with pytest.raises(PreconditionError, match="not independent"):
+            find_sl(g, {0, 1, 2, 3, 4})
+
     def test_random_certificates_validate(self):
         rng = random.Random(7)
         produced = 0
@@ -164,6 +177,19 @@ class TestValidateCertificate:
         tree = SpanningTree({0, 2, 3, 9}, [(0, 2), (0, 3), (0, 9)])
         cert = SLCertificate(frozenset({0}), frozenset({2, 3, 9}), tree)
         with pytest.raises(InvariantError):
+            validate_certificate(g, cert)
+
+    def test_independence_checked_before_neighbourhood(self):
+        g = double_star()
+        # L = {1, 4} holds the edge (1, 4), and N(L) = {0, 5} is not S = {0}
+        tree = SpanningTree({0, 1, 4}, [(0, 1), (1, 4)])
+        cert = SLCertificate(frozenset({0}), frozenset({1, 4}), tree)
+        with pytest.raises(InvariantError, match="L is not independent"):
+            validate_certificate(g, cert)
+        # L = {2, 3, 4} is independent, and N(L) = {0, 1} is not S = {0}
+        tree = SpanningTree({0, 2, 3, 4}, [(0, 2), (0, 3), (0, 4)])
+        cert = SLCertificate(frozenset({0}), frozenset({2, 3, 4}), tree)
+        with pytest.raises(InvariantError, match="N\\(L\\) differs from S"):
             validate_certificate(g, cert)
 
 
@@ -336,6 +362,26 @@ class TestRearrangeTree:
 
 
 class TestRule3AtScale:
+    def test_outputs_are_pinned(self):
+        # sha256 over outcome, k', each certificate's sorted S, L and tree
+        # edges, the kernel, the witness and the decoded trace document, on
+        # star-cluster instances where Rule 3 fires
+        cases = [(150, 49, s) for s in range(1, 41)] + [(800, 266, s) for s in (1, 2, 3)]
+        digest = hashlib.sha256()
+        for n, k, seed in cases:
+            res = kernelize(generate("star-cluster", n, seed=seed), k)
+            digest.update(repr((
+                res.outcome,
+                res.k_prime,
+                [(sorted(c.s), sorted(c.l), sorted(c.tree.edges)) for c in res.trace],
+                None if res.graph is None else (res.graph.n, sorted(res.graph.edges)),
+                None if res.witness is None else sorted(res.witness.edges),
+                json.dumps(json.loads(trace_to_json(res, k)), sort_keys=True),
+            )).encode())
+        assert digest.hexdigest() == (
+            "36b1d9b115b9065993607cc893dfd720fa68a62722aaa2d3b8c7b8ef481fe39a"
+        )
+
     def test_star_cluster_800(self):
         # the first DFS does not settle this instance, so Rule 3 fires on an
         # (S, L) pair of several hundred vertices
