@@ -46,21 +46,24 @@ class Hypergraph:
     Duplicate hyperedges are allowed.
     """
 
-    __slots__ = ("n", "hyperedges", "_forest")
+    __slots__ = ("n", "hyperedges", "_ascending", "_forest")
 
     def __init__(self, n: int, hyperedges):
         if n < 0:
             raise PreconditionError("vertex count must be nonnegative")
-        edges = []
+        edges, ascending = [], []
         for e in hyperedges:
             fs = frozenset(e)
-            if not fs:
+            t = tuple(sorted(fs))
+            if not t:
                 raise PreconditionError("hyperedges must be nonempty")
-            if min(fs) < 0 or max(fs) >= n:
-                raise PreconditionError(f"hyperedge {sorted(fs)} out of range")
+            if t[0] < 0 or t[-1] >= n:
+                raise PreconditionError(f"hyperedge {list(t)} out of range")
             edges.append(fs)
+            ascending.append(t)
         self.n = n
         self.hyperedges = tuple(edges)
+        self._ascending = tuple(ascending)  # each hyperedge's vertices, ascending
         self._forest = None  # the greedy's (pairs, adj), once `_greedy` ran
 
     @property
@@ -123,7 +126,7 @@ def _search(h: Hypergraph, pairs: dict, adj: dict, starts):
     queue = deque(came_from)
     while queue:
         eid = queue.popleft()
-        r, *rest = sorted(h.hyperedges[eid])
+        r, *rest = h._ascending[eid]
         for b in rest:
             if pairs.get(eid) == (r, b):
                 continue

@@ -4,12 +4,15 @@ least k internal vertices?
 `decide_pist` kernelizes and asks `opt_internal(kernel, k')`, which stops at
 the first tree that reaches k'; that tree need not have the most.  No tree
 on n >= 2 vertices has more than n - 2, so above it the answer is no, and
-at it a Hamiltonian-path DP over 2^n end-sets answers.  Below it one
-branch-and-bound search over the spanning trees answers: each edge in turn
-is included or excluded, a branch that can no longer connect the graph is
-dropped, and a branch is cut when an upper bound falls below k': the
-vertices that can still reach degree 2, or n - 2 less the chosen degrees'
-excess over 2 (a tree has 2 + sum(max(0, deg - 2)) leaves).
+at it a Hamiltonian-path DP answers; it visits only the end-sets that
+some path covers, size by size.  Below it one branch-and-bound search over
+the spanning trees answers: each edge in turn is included or excluded, an
+exclusion is allowed only while its ends still reach each other over the
+edges not excluded so far (kept as neighbour bitmasks), and a branch is cut
+when an upper bound falls below k': the vertices that can still reach
+degree 2, or n - 2 less the chosen degrees' excess over 2 (a tree has
+2 + sum(max(0, deg - 2)) leaves).  A target of 0 or less is answered like
+0: every spanning tree has at least 0 internal vertices.
 
 Without a target, `opt_internal(g)` gives the exact optimum, the ground
 truth of the tests: the DP first, then the same search, which cuts a branch
@@ -18,6 +21,7 @@ whose bound cannot beat the best tree found so far.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .graph import (
@@ -47,9 +51,13 @@ class OptResult:
 def hamiltonian_path(g: Graph) -> list[int] | None:
     """A Hamiltonian path as a vertex list, or None.  Bitmask DP (Bellman;
     Held and Karp, 1962): `ends[mask]` holds the vertices where a path
-    through exactly `mask` can end.  The walk back starts at the lowest end
-    of the full set and steps to the lowest neighbour that ends a path
-    through the rest, so no parent is stored.
+    through exactly `mask` can end.  The DP grows the end-sets size by size
+    and visits only the masks some path covers: each step extends the
+    masks the last one reached, and lists each mask the first time a path
+    reaches it.  A mask is complete before it is extended, because every
+    path into it comes from the size below.  The walk back starts at the
+    lowest end of the full set and steps to the lowest neighbour that ends
+    a path through the rest, so no parent is stored.
 
     Only the two ends of a Hamiltonian path have degree 1 on it, so a graph
     with more than two vertices of degree at most 1 has none; the DP is
@@ -69,16 +77,26 @@ def hamiltonian_path(g: Graph) -> list[int] | None:
     ends = [0] * (1 << n)
     for v in range(n):
         ends[1 << v] = 1 << v
-    for mask in range(1, full):
-        em = ends[mask]
-        while em:
-            low = em & -em
-            em ^= low
-            ext = nbr_mask[low.bit_length() - 1] & ~mask
+    reached = [1 << v for v in range(n)]  # the masks of one size that paths cover
+    for _ in range(n - 1):
+        grown = array("l")  # 8 bytes a mask, where a list keeps an int object per mask
+        for mask in reached:
+            em = ends[mask]
+            ext = 0  # the vertices next to some end of a path through mask
+            while em:
+                low = em & -em
+                em ^= low
+                ext |= nbr_mask[low.bit_length() - 1]
+            ext &= ~mask
             while ext:
                 w = ext & -ext
                 ext ^= w
-                ends[mask | w] |= w
+                grown_mask = mask | w
+                have = ends[grown_mask]
+                if not have:
+                    grown.append(grown_mask)
+                ends[grown_mask] = have | w
+        reached = grown
     if not ends[full]:
         return None
     path = [(ends[full] & -ends[full]).bit_length() - 1]
@@ -101,6 +119,14 @@ def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
     tree in this order with the most internal vertices, or None when no tree
     has `need`.  The search stops once a kept tree reaches `stop_at`.
 
+    The exclusion test: `live[v]` is the bitmask of v's neighbours over the
+    edges not excluded so far, and those edges stay connected: g is
+    connected, an inclusion leaves them as they are, and an exclusion is
+    allowed only if they stay connected.  So excluding (u, v) is allowed
+    exactly when u still reaches v without it, which a bitmask search
+    answers, stopping as soon as it sees v; an edge that closes a cycle of
+    chosen edges needs no search.  Backtracking restores the bits.
+
     The bound: an undecided edge can still raise a degree, so a vertex
     whose chosen degree plus undecided incident edges is below 2 ends up a
     leaf.  Including an edge leaves that sum unchanged and excluding one
@@ -120,18 +146,22 @@ def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
     best: list | None = None
     best_count = -1
 
-    def connectable(parent: list, start: int) -> bool:
-        p = parent[:]
-        comps = len({_find(p, v) for v in range(n)})
-        for i in range(start, m):
-            u, v = edges[i]
-            ru, rv = _find(p, u), _find(p, v)
-            if ru != rv:
-                p[ru] = rv
-                comps -= 1
-                if comps == 1:
-                    return True
-        return comps == 1
+    live = [0] * n  # live[v]: v's neighbours over the edges not excluded so far
+    for u, v in edges:
+        live[u] |= 1 << v
+        live[v] |= 1 << u
+
+    def reaches(u: int, v: int) -> bool:
+        target = 1 << v
+        seen = todo = 1 << u
+        while todo:
+            low = todo & -todo
+            nbrs = live[low.bit_length() - 1]
+            if nbrs & target:
+                return True
+            todo = (todo ^ low) | (nbrs & ~seen)
+            seen |= nbrs
+        return False
 
     def rec(i: int, parent: list, chosen: list, bound: int, excess: int):
         nonlocal need, best, best_count
@@ -156,9 +186,13 @@ def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
             chosen.pop()
         room[u] -= 1
         room[v] -= 1
+        live[u] ^= 1 << v
+        live[v] ^= 1 << u
         # Leaving out an edge inside a chosen component keeps what can connect.
-        if ru == rv or connectable(parent, i + 1):
+        if ru == rv or reaches(u, v):
             rec(i + 1, parent, chosen, bound - (room[u] == 1) - (room[v] == 1), excess)
+        live[u] ^= 1 << v
+        live[v] ^= 1 << u
         room[u] += 1
         room[v] += 1
 
@@ -180,8 +214,10 @@ def opt_internal(g: Graph, at_least: int | None = None) -> OptResult | None:
         raise PreconditionError("oracle requires a connected graph")
     n = g.n
     top = max(n - 2, 0)  # a tree on two or more vertices has two leaves
-    if at_least is not None and at_least > top:
-        return None
+    if at_least is not None:
+        if at_least > top:
+            return None
+        at_least = max(at_least, 0)  # every tree has at least 0 internal vertices
     if n <= 2:
         result = OptResult(0, SpanningTree(range(n), sorted(g.edges)))
     elif at_least is None or at_least == top:

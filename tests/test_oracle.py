@@ -115,6 +115,43 @@ class TestOptInternal:
         )
 
 
+    def test_target_witnesses_are_pinned(self):
+        # sha256 of the target-mode answers on 150 exact-small-style graphs
+        # (the benchmark's families, n 16-18, m from n to 3n/2), for every
+        # k from n // 2 to n - 3.  With n <= 3k these graphs are their own
+        # kernels.  The digest was taken before the search kept its edge
+        # set as bitmasks: the same trees must come first.
+        h = hashlib.sha256()
+        for j in range(150):
+            rng = random.Random(j)
+            family = ("tree-plus", "random-gnm", "star-cluster")[j % 3]
+            n = rng.choice((16, 17, 18))
+            m = rng.randint(n, (3 * n) // 2) if family != "star-cluster" else None
+            g = generate(family, n, m, seed=j)
+            for k in range(n // 2, n - 2):
+                res = opt_internal(g, k)
+                found = None if res is None else (res.opt, sorted(res.witness.edges))
+                h.update(f"{j};{k};{found}\n".encode())
+        assert h.hexdigest() == (
+            "344839c0680583b66ae7c5ff3838d54372a3e06164ff1a5342a426933e826f43"
+        )
+
+    def test_negative_target_is_zero(self):
+        # every spanning tree has at least zero internal vertices
+        cycle5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+        rng = random.Random(83)
+        graphs = [cycle5, star_graph(4), path_graph(4)]
+        for _ in range(20):
+            graphs.append(random_connected(rng, rng.randrange(3, 9), rng.randrange(0, 8)))
+        for g in graphs:
+            zero = opt_internal(g, 0)
+            for at_least in (-1, -5):
+                res = opt_internal(g, at_least)
+                assert res is not None
+                assert res.opt == zero.opt >= 0
+                assert res.witness.edges == zero.witness.edges
+
+
 class TestHamiltonianPath:
     def test_size_guard(self):
         # the DP's table has 2^n entries; above MAX_N it must refuse, not allocate
@@ -158,6 +195,26 @@ class TestHamiltonianPath:
             h.update(f"{n};{path}\n".encode())
         assert h.hexdigest() == (
             "62068f6962d63563af351bb129a0642a9a9b7c5a0c31f8691b2bd07f6a57dffd"
+        )
+
+    def test_large_sparse_paths_are_pinned(self):
+        # sha256 of the paths of 60 seeded sparse graphs with n 14-18: a
+        # random-order path with each edge kept at 0.9, plus n/2 to n
+        # chords (40 have a Hamiltonian path, 8 fail the degree test), as
+        # the DP over all 2^n masks found them.
+        rng = random.Random(1814)
+        h = hashlib.sha256()
+        for _ in range(60):
+            n = rng.randrange(14, 19)
+            order = rng.sample(range(n), n)
+            edges = {tuple(sorted(e)) for e in zip(order, order[1:]) if rng.random() < 0.9}
+            for _ in range(rng.randrange(n // 2, n)):
+                u, v = rng.sample(range(n), 2)
+                edges.add((min(u, v), max(u, v)))
+            path = hamiltonian_path(Graph(n, edges))
+            h.update(f"{n};{path}\n".encode())
+        assert h.hexdigest() == (
+            "03454f2e26a5bf98fd9792c072dae0cde2f51bf35be53a1fd6beefe73120eaa9"
         )
 
     def test_memory_is_the_end_set_table(self):
