@@ -5,7 +5,7 @@ Subcommands: kernelize, solve, verify, gen.  Exit codes: 0 success/yes,
 (a failed consistency check, which is a bug; `verify` reports a trace
 that fails one as FAIL with exit 1 instead), 5 resource limit (valid
 input too large to finish, such as a kernel beyond the exact oracle's
-size guard).
+size guard whose target its bounds leave open).
 """
 
 from __future__ import annotations

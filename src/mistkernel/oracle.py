@@ -14,9 +14,24 @@ degree 2, or n - 2 less the chosen degrees' excess over 2 (a tree has
 2 + sum(max(0, deg - 2)) leaves).  A target of 0 or less is answered like
 0: every spanning tree has at least 0 internal vertices.
 
+The search is entered only past two refutations.  The first is its own
+root cut, free: fewer vertices of degree at least 2 than k'.  The second
+is the hyperforest upper bound ub = |V - I| + rank(H_I), where I is an
+independent set and H_I = {N(w) : w in I} the hypergraph on V - I
+(Lovász's characterisation; see `_bounds`).  It costs one pair-forest
+greedy, so it comes after the free cut, and the DP at n - 2 does not wait
+for it.  Neither changes a tree the search finds.
+
+A kernel on more than MAX_N vertices is beyond the search and the DP, so a
+target there is answered by the bounds alone: no when ub < k', the
+lower-bound tree (a Kruskal tree that makes the hyperforest's I-vertices
+internal) when it reaches k', and ResourceLimitError, naming both bounds,
+in between.
+
 Without a target, `opt_internal(g)` gives the exact optimum, the ground
 truth of the tests: the DP first, then the same search, which cuts a branch
-whose bound cannot beat the best tree found so far.
+whose bound cannot beat the best tree found so far.  It still raises
+ResourceLimitError above MAX_N.
 """
 
 from __future__ import annotations
@@ -34,9 +49,10 @@ from .graph import (
     internal_count,
     is_connected,
 )
+from .hypermatroid import Hypergraph, _pair_forest
 from .kernelizer import kernelize, lift_solution
 
-MAX_N = 18  # the largest graph opt_internal accepts: 2^n end-sets, about 10 MB at 18
+MAX_N = 18  # the largest graph the exhaustive search takes: 2^n end-sets, about 10 MB at 18
 
 
 @dataclass(frozen=True)
@@ -107,6 +123,60 @@ def hamiltonian_path(g: Graph) -> list[int] | None:
         path.append((prev & -prev).bit_length() - 1)
     path.reverse()
     return path
+
+
+def _bounds(g: Graph):
+    """An upper bound on the internal vertices of g's spanning trees, and a
+    function that builds a spanning tree of g, whose internal count is the
+    lower bound.  g is connected, with three or more vertices.
+
+    I is the greedy maximal independent set, taken by lowest degree and
+    then by id, and H_I the hypergraph {N(w) : w in I} on V - I.  In any
+    spanning tree each internal w in I picks two tree neighbours; the
+    picked pairs form a forest, since a cycle of them would be a cycle of
+    the tree through the w's, so those N(w) are a hyperforest (Lovász) and
+    there are at most rank(H_I) of them.  Hence the optimum is at most
+    |V - I| + rank(H_I), and at most n - 2.  The rank is the size of the
+    pair forest `_pair_forest` builds.
+
+    The tree is Kruskal's over three edge lists in turn: the paths w-a and
+    w-b for each forest pair (a, b) of N(w), which make those w internal;
+    the edges inside V - I; all edges.  It is built only when called, so a
+    caller that needs the upper bound alone pays for no more.
+    """
+    n = g.n
+    taken = [False] * n  # in I or next to it
+    indep = []
+    for v in sorted(range(n), key=g.degree):  # a stable sort: ties by id
+        if not taken[v]:
+            indep.append(v)
+            taken[v] = True
+            for w in g.neighbors(v):
+                taken[w] = True
+    in_i = set(indep)
+    rest = [v for v in range(n) if v not in in_i]
+    index = {v: i for i, v in enumerate(rest)}  # V - I, numbered from 0
+    h = Hypergraph(len(rest), [[index[a] for a in g.neighbors(w)] for w in indep])
+    pairs, _ = _pair_forest(h, range(h.m))
+    ub = min(len(rest) + len(pairs), n - 2)
+
+    def tree() -> SpanningTree:
+        edges = sorted(g.edges)
+        paths = []
+        for eid, (a, b) in pairs.items():
+            w = indep[eid]
+            paths += [(w, rest[a]), (w, rest[b])]
+        inside = [(u, v) for u, v in edges if u in index and v in index]
+        parent = list(range(n))
+        chosen = []
+        for u, v in paths + inside + edges:
+            ru, rv = _find(parent, u), _find(parent, v)
+            if ru != rv:
+                parent[ru] = rv
+                chosen.append((u, v))
+        return SpanningTree(range(n), chosen)
+
+    return ub, tree
 
 
 def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
@@ -205,10 +275,14 @@ def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
 def opt_internal(g: Graph, at_least: int | None = None) -> OptResult | None:
     """The exact optimum with a witness, or, given `at_least`, a tree with at
     least that many internal vertices (not necessarily the most) and None
-    when the optimum is below it.  A graph on more than MAX_N vertices
-    raises ResourceLimitError.
+    when the optimum is below it.
+
+    A graph on more than MAX_N vertices raises ResourceLimitError for the
+    optimum.  Given a target, it is answered by the bounds alone: None
+    when the upper bound is below the target, the lower-bound tree when
+    that reaches it, and ResourceLimitError when the target lies between.
     """
-    if g.n > MAX_N:
+    if g.n > MAX_N and at_least is None:
         raise ResourceLimitError(f"graph exceeds the oracle size guard ({MAX_N})")
     if not is_connected(g):
         raise PreconditionError("oracle requires a connected graph")
@@ -218,7 +292,20 @@ def opt_internal(g: Graph, at_least: int | None = None) -> OptResult | None:
         if at_least > top:
             return None
         at_least = max(at_least, 0)  # every tree has at least 0 internal vertices
-    if n <= 2:
+    if n > MAX_N:
+        ub, tree = _bounds(g)
+        if at_least > ub:
+            return None
+        witness = tree()
+        lb = internal_count(witness)
+        if lb < at_least:
+            raise ResourceLimitError(
+                f"a graph on {n} vertices with target k' = {at_least} exceeds the oracle "
+                f"size guard ({MAX_N}), and its bounds leave it open: "
+                f"lb = {lb} < k' <= ub = {ub}"
+            )
+        result = OptResult(lb, witness)
+    elif n <= 2:
         result = OptResult(0, SpanningTree(range(n), sorted(g.edges)))
     elif at_least is None or at_least == top:
         path = hamiltonian_path(g)
@@ -230,6 +317,10 @@ def opt_internal(g: Graph, at_least: int | None = None) -> OptResult | None:
             # No Hamiltonian path, so the optimum is at most n - 3.
             result = _branch_and_bound(g, 0, n - 3)
     else:
+        # The search's root cut first: it refutes most NO kernels for free,
+        # and only those past it pay for the upper bound.
+        if sum(1 for v in range(n) if g.degree(v) >= 2) < at_least or at_least > _bounds(g)[0]:
+            return None
         result = _branch_and_bound(g, at_least, at_least)
         if result is None:
             return None

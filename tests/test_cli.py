@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mistkernel import Graph, InvariantError, is_connected
+from mistkernel import Graph, InvariantError, SpanningTree, internal_count, is_connected
 from mistkernel.cli import EXIT_INTERNAL, EXIT_RESOURCE, main
 from mistkernel.fileformats import parse_edge_list, serialize_edge_list
 
@@ -237,19 +237,41 @@ class TestUnwritableOutput:
 
 
 class TestResourceLimit:
-    def test_kernel_beyond_oracle_guard(self, tmp_path, capsys):
-        # a valid instance whose kernel has more vertices than the exact
-        # oracle accepts: a resource limit, not bad input
+    def _star_cluster_60(self, tmp_path, capsys, seed):
         code, out, _ = run_cli(
-            ["gen", "--family", "star-cluster", "--n", "60", "--seed", "0"], capsys)
+            ["gen", "--family", "star-cluster", "--n", "60", "--seed", str(seed)], capsys)
         assert code == 0
         f = tmp_path / "g.gr"
         f.write_text(out)
-        code, out, err = run_cli(["solve", "--in", str(f), "--k", "20"], capsys)
+        return f
+
+    def test_kernel_beyond_oracle_guard(self, tmp_path, capsys):
+        # a valid instance whose kernel has more vertices than the exact
+        # oracle accepts and which its bounds leave open: a resource limit,
+        # not bad input
+        f = self._star_cluster_60(tmp_path, capsys, 2)
+        code, out, err = run_cli(["solve", "--in", str(f), "--k", "23"], capsys)
         assert code == EXIT_RESOURCE == 5
         assert err.startswith("resource limit: ")
         assert "Traceback" not in err
         assert out == ""
+        # the message names the gap the bounds leave
+        for part in ("60 vertices", "k' = 23", "lb = 22", "ub = 23"):
+            assert part in err
+
+    def test_kernel_beyond_oracle_guard_decided_by_bounds(self, tmp_path, capsys):
+        # the same size of kernel, where the lower-bound tree reaches k'
+        f = self._star_cluster_60(tmp_path, capsys, 0)
+        code, out, err = run_cli(["solve", "--in", str(f), "--k", "20"], capsys)
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0] == "YES"
+        g = parse_edge_list(f.read_text())
+        edges = [tuple(map(int, line.split()[1:])) for line in lines[1:]]
+        tree = SpanningTree(range(g.n), edges)
+        assert tree.edges <= g.edges
+        assert internal_count(tree) >= 20
 
 
 class TestInternalError:

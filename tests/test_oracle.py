@@ -13,6 +13,7 @@ from mistkernel import (
     hamiltonian_path,
     internal_count,
     opt_internal,
+    oracle,
 )
 from mistkernel.generate import generate
 from bruteforce import brute_hamiltonian_path, brute_opt_internal
@@ -232,6 +233,46 @@ class TestHamiltonianPath:
             assert peak < 64 << g.n
 
 
+class TestBounds:
+    def test_bounds_hold_against_brute_force(self):
+        # lb <= opt <= ub on small graphs of the three generator families,
+        # and the lower-bound tree spans g over g's own edges
+        families = ("random-gnm", "tree-plus", "star-cluster")
+        for j in range(300):
+            rng = random.Random(j)
+            n = rng.randint(3, 12)
+            family = families[j % 3]
+            m = None if family == "star-cluster" else rng.randint(
+                n - 1, min(3 * n // 2, n * (n - 1) // 2))
+            g = generate(family, n, m, seed=j)
+            ub, tree = oracle._bounds(g)
+            t = tree()
+            assert t.vertices == frozenset(range(n))
+            assert t.edges <= g.edges
+            assert internal_count(t) <= brute_opt_internal(g) <= ub
+
+    def test_upper_bound_sits_behind_the_root_cut(self, monkeypatch):
+        # The upper bound is computed only for a target below n - 2 that the
+        # search's root cut (fewer vertices of degree >= 2 than the target)
+        # does not refute: that cut is free, the bound is not.
+        calls = []
+        bounds = oracle._bounds
+        monkeypatch.setattr(oracle, "_bounds", lambda g: calls.append(g) or bounds(g))
+        # three centres on a path, two leaves each: 3 vertices of degree >= 2
+        legs = [(c, 3 + 2 * c + i) for c in range(3) for i in (0, 1)]
+        spider = Graph(9, [(0, 1), (1, 2)] + legs)
+        assert opt_internal(spider, 5) is None
+        assert opt_internal(spider, 4) is None
+        # at n - 2 the Hamiltonian DP answers, with or without a path
+        assert opt_internal(path_graph(9), 7) is not None
+        assert opt_internal(complete_bipartite(3, 5), 6) is None
+        assert opt_internal(complete_bipartite(4, 5)) is not None
+        assert calls == []
+        # past the root cut, one bound per call
+        assert opt_internal(complete_bipartite(7, 11), 15) is None
+        assert len(calls) == 1
+
+
 class TestDecidePist:
     def test_p6_hamiltonian(self):
         yes, witness = decide_pist(path_graph(6), 4)
@@ -275,6 +316,34 @@ class TestDecidePist:
         assert not yes and witness is None
         yes, witness = decide_pist(g, 14)
         assert yes and internal_count(witness) >= 14
+
+    def test_unbalanced_bipartite_no_is_fast(self):
+        # Optima 13 and 9, both below 15, and the kernel is the whole graph:
+        # the bounded search ran past a minute on each, the upper bound
+        # refutes both at once.
+        for a, b in ((7, 11), (5, 13)):
+            t0 = time.process_time()
+            yes, witness = decide_pist(complete_bipartite(a, b), 15)
+            assert time.process_time() - t0 < 1.0
+            assert not yes and witness is None
+
+    def test_kernels_beyond_the_size_guard(self):
+        # star-cluster n=60 leaves kernels larger than MAX_N.  Without the
+        # bounds 100 of these 480 runs raised; with them, 3 do (seeds 2, 10
+        # and 19 at k = 23, where lb = 22 and ub = 23).
+        limits = 0
+        for seed in range(20):
+            g = generate("star-cluster", 60, seed=seed)
+            for k in range(1, 25):
+                try:
+                    yes, witness = decide_pist(g, k)
+                except ResourceLimitError:
+                    limits += 1
+                    continue
+                if yes:
+                    assert witness.edges <= g.edges
+                    assert internal_count(witness) >= k
+        assert limits <= 3
 
     def test_near_hamiltonian_bipartite_is_fast(self):
         # K(a, a + 2) has no Hamiltonian path and optimum 2a - 1 = n - 3,
