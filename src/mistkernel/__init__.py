@@ -18,7 +18,6 @@ from .hypermatroid import (
     border,
     deficient_partition,
     greedy_hypertree,
-    is_hyperforest,
     shrink_to_tree,
 )
 from .kernelizer import (
@@ -58,7 +57,6 @@ __all__ = [
     "hamiltonian_path",
     "internal_count",
     "is_connected",
-    "is_hyperforest",
     "kernelize",
     "lift_solution",
     "opt_internal",

@@ -182,14 +182,6 @@ def _greedy(h: Hypergraph):
 # Operations
 
 
-def is_hyperforest(h: Hypergraph, edge_ids) -> bool:
-    """Strong Hall test for the selected hyperedges."""
-    ids = sorted(set(edge_ids))
-    if any(not (0 <= i < h.m) for i in ids):
-        raise PreconditionError("edge id out of range")
-    return len(_pair_forest(h, ids)[0]) == len(ids)
-
-
 def greedy_hypertree(h: Hypergraph) -> dict | None:
     """The pair forest {edge id: (a, b)} of a hypertree built greedily in
     ascending edge-id order, or None if the hypergraph has no hypertree.

@@ -219,8 +219,11 @@ def _survivors(n: int, cert: SLCertificate) -> list:
 
 def _contract(g: Graph, cert: SLCertificate) -> Graph:
     """The Rule-3 graph: S ∪ L becomes v_S, adjacent to N(S) \\ L, plus a
-    pendant v_L on v_S."""
+    pendant v_L on v_S.  S ∪ L must leave a vertex outside it: contracting
+    the whole graph to one edge would not keep the answer."""
     survivors = _survivors(g.n, cert)
+    if not survivors:
+        raise InvariantError("S ∪ L covers the graph, so Rule 3 does not apply")
     new_id = {old: new for new, old in enumerate(survivors)}
     v_s = len(survivors)
     edges = [

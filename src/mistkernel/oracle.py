@@ -1,18 +1,20 @@
 """Exact solver for the kernel's question: is there a spanning tree with at
 least k internal vertices?
 
-`decide_pist` kernelizes and asks `opt_internal(kernel, k')`, which stops at
-the first tree that reaches k'; that tree need not have the most.  No tree
-on n >= 2 vertices has more than n - 2, so above it the answer is no, and
-at it a Hamiltonian-path DP answers; it visits only the end-sets that
-some path covers, size by size.  Below it one branch-and-bound search over
-the spanning trees answers: each edge in turn is included or excluded, an
-exclusion is allowed only while its ends still reach each other over the
-edges not excluded so far (kept as neighbour bitmasks), and a branch is cut
-when an upper bound falls below k': the vertices that can still reach
-degree 2, or n - 2 less the chosen degrees' excess over 2 (a tree has
-2 + sum(max(0, deg - 2)) leaves).  A target of 0 or less is answered like
-0: every spanning tree has at least 0 internal vertices.
+The solver decides.  `decide_pist` kernelizes and asks
+`opt_internal(kernel, k')`, which returns the first tree it meets with at
+least k' internal vertices, or None; that tree need not have the most.
+No tree on n >= 2 vertices has more than n - 2, so above it the answer is
+no, and at it a Hamiltonian-path DP answers; it visits only the end-sets
+that some path covers, size by size.  Below it one branch-and-bound search
+over the spanning trees answers: each edge in turn is included or
+excluded, an exclusion is allowed only while its ends still reach each
+other over the edges not excluded so far (kept as neighbour bitmasks), and
+a branch is cut when an upper bound falls below k': the vertices that can
+still reach degree 2, or n - 2 less the chosen degrees' excess over 2 (a
+tree has 2 + sum(max(0, deg - 2)) leaves).  The search stops at the first
+tree no cut removes.  A target of 0 or less is answered like 0: every
+spanning tree has at least 0 internal vertices.
 
 The search is entered only past two refutations.  The first is its own
 root cut, free: fewer vertices of degree at least 2 than k'.  The second
@@ -23,15 +25,16 @@ greedy, so it comes after the free cut, and the DP at n - 2 does not wait
 for it.  Neither changes a tree the search finds.
 
 A kernel on more than MAX_N vertices is beyond the search and the DP, so a
-target there is answered by the bounds alone: no when ub < k', the
-lower-bound tree (a Kruskal tree that makes the hyperforest's I-vertices
-internal) when it reaches k', and ResourceLimitError, naming both bounds,
-in between.
+target there is answered by the same two refutations and the lower-bound
+tree (a Kruskal tree that makes the hyperforest's I-vertices internal):
+no when a refutation holds, that tree when it reaches k', and
+ResourceLimitError, naming both bounds, in between.
 
-Without a target, `opt_internal(g)` gives the exact optimum, the ground
-truth of the tests: the DP first, then the same search, which cuts a branch
-whose bound cannot beat the best tree found so far.  It still raises
-ResourceLimitError above MAX_N.
+The optimum, `opt_internal(g)`, the ground truth of the tests, is the
+highest target answered: it asks n - 2, n - 3, ... in turn and returns the
+first answer.  Every higher target was refuted, so that answer is the
+search's first tree with the most internal vertices (or the DP's path).
+It raises ResourceLimitError above MAX_N.
 """
 
 from __future__ import annotations
@@ -179,15 +182,14 @@ def _bounds(g: Graph):
     return ub, tree
 
 
-def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
-    """Branch-and-bound over the spanning trees of g.
+def _branch_and_bound(g: Graph, need: int) -> OptResult | None:
+    """The first spanning tree of g, in the search's order, with at least
+    `need` internal vertices, or None when no tree has that many.
 
     Each edge in sorted order is either included (if it closes no cycle) or
     excluded (if the remaining edges can still connect the graph), so every
-    spanning tree is met exactly once.  A tree with at least `need` internal
-    vertices is kept and `need` rises past it, so the result is the first
-    tree in this order with the most internal vertices, or None when no tree
-    has `need`.  The search stops once a kept tree reaches `stop_at`.
+    spanning tree is met exactly once, and the search stops at the first
+    complete tree that no cut removes.
 
     The exclusion test: `live[v]` is the bitmask of v's neighbours over the
     edges not excluded so far, and those edges stay connected: g is
@@ -195,7 +197,10 @@ def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
     allowed only if they stay connected.  So excluding (u, v) is allowed
     exactly when u still reaches v without it, which a bitmask search
     answers, stopping as soon as it sees v; an edge that closes a cycle of
-    chosen edges needs no search.  Backtracking restores the bits.
+    chosen edges needs no search.  Backtracking restores the bits.  Once
+    every edge is decided, the edges not excluded are the chosen ones, so
+    they form a spanning tree: the edges never run out before a tree is
+    complete.
 
     The bound: an undecided edge can still raise a degree, so a vertex
     whose chosen degree plus undecided incident edges is below 2 ends up a
@@ -206,15 +211,12 @@ def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
     The leaf-count cut: a tree has 2 + sum(max(0, deg - 2)) leaves and
     chosen degrees only grow, so a branch whose chosen degrees exceed 2 by
     `excess` in total keeps at most n - 2 - excess internal vertices.  A
-    complete tree that is not cut has exactly that many and is kept.
+    complete tree that is not cut has exactly that many and is the answer.
     """
     edges = sorted(g.edges)
-    m = len(edges)
     n = g.n
     room = [g.degree(v) for v in range(n)]  # chosen degree + undecided edges
     deg = [0] * n  # chosen degree
-    best: list | None = None
-    best_count = -1
 
     live = [0] * n  # live[v]: v's neighbours over the edges not excluded so far
     for u, v in edges:
@@ -234,14 +236,10 @@ def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
         return False
 
     def rec(i: int, parent: list, chosen: list, bound: int, excess: int):
-        nonlocal need, best, best_count
-        if best_count >= stop_at or bound < need or n - 2 - excess < need:
-            return
+        if bound < need or n - 2 - excess < need:
+            return None
         if len(chosen) == n - 1:
-            best, best_count, need = chosen[:], n - 2 - excess, n - 1 - excess
-            return
-        if i == m:
-            return
+            return OptResult(n - 2 - excess, SpanningTree(range(n), chosen))
         u, v = edges[i]
         ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
@@ -250,81 +248,83 @@ def _branch_and_bound(g: Graph, need: int, stop_at: int) -> OptResult | None:
             chosen.append(edges[i])
             deg[u] += 1
             deg[v] += 1
-            rec(i + 1, p2, chosen, bound, excess + (deg[u] > 2) + (deg[v] > 2))
+            found = rec(i + 1, p2, chosen, bound, excess + (deg[u] > 2) + (deg[v] > 2))
             deg[u] -= 1
             deg[v] -= 1
             chosen.pop()
+            if found is not None:
+                return found
         room[u] -= 1
         room[v] -= 1
         live[u] ^= 1 << v
         live[v] ^= 1 << u
+        found = None
         # Leaving out an edge inside a chosen component keeps what can connect.
         if ru == rv or reaches(u, v):
-            rec(i + 1, parent, chosen, bound - (room[u] == 1) - (room[v] == 1), excess)
+            found = rec(i + 1, parent, chosen, bound - (room[u] == 1) - (room[v] == 1), excess)
         live[u] ^= 1 << v
         live[v] ^= 1 << u
         room[u] += 1
         room[v] += 1
+        return found
 
-    rec(0, list(range(n)), [], sum(1 for r in room if r >= 2), 0)
-    if best is None:
-        return None
-    return OptResult(best_count, SpanningTree(range(n), best))
+    return rec(0, list(range(n)), [], sum(1 for r in room if r >= 2), 0)
 
 
 def opt_internal(g: Graph, at_least: int | None = None) -> OptResult | None:
-    """The exact optimum with a witness, or, given `at_least`, a tree with at
-    least that many internal vertices (not necessarily the most) and None
-    when the optimum is below it.
+    """Given `at_least`, a tree with at least that many internal vertices
+    (not necessarily the most), or None when no spanning tree has that
+    many.  Without it, the exact optimum with a witness: the answer to the
+    highest target, from n - 2 down, that is not None.
 
     A graph on more than MAX_N vertices raises ResourceLimitError for the
-    optimum.  Given a target, it is answered by the bounds alone: None
-    when the upper bound is below the target, the lower-bound tree when
-    that reaches it, and ResourceLimitError when the target lies between.
+    optimum.  Given a target, such a graph gets the same root cut and upper
+    bound, each of which may answer None, and then the lower-bound tree
+    when that reaches the target, or ResourceLimitError.
     """
-    if g.n > MAX_N and at_least is None:
-        raise ResourceLimitError(f"graph exceeds the oracle size guard ({MAX_N})")
-    if not is_connected(g):
-        raise PreconditionError("oracle requires a connected graph")
     n = g.n
     top = max(n - 2, 0)  # a tree on two or more vertices has two leaves
-    if at_least is not None:
-        if at_least > top:
-            return None
-        at_least = max(at_least, 0)  # every tree has at least 0 internal vertices
-    if n > MAX_N:
-        ub, tree = _bounds(g)
-        if at_least > ub:
-            return None
-        witness = tree()
-        lb = internal_count(witness)
-        if lb < at_least:
-            raise ResourceLimitError(
-                f"a graph on {n} vertices with target k' = {at_least} exceeds the oracle "
-                f"size guard ({MAX_N}), and its bounds leave it open: "
-                f"lb = {lb} < k' <= ub = {ub}"
-            )
-        result = OptResult(lb, witness)
-    elif n <= 2:
+    if at_least is None:
+        if n > MAX_N:
+            raise ResourceLimitError(f"graph exceeds the oracle size guard ({MAX_N})")
+        for target in range(top, 0, -1):
+            found = opt_internal(g, target)
+            if found is not None:
+                return found
+        return opt_internal(g, 0)  # every spanning tree answers it
+    if not is_connected(g):
+        raise PreconditionError("oracle requires a connected graph")
+    if at_least > top:
+        return None
+    at_least = max(at_least, 0)  # every tree has at least 0 internal vertices
+    if n <= 2:
         result = OptResult(0, SpanningTree(range(n), sorted(g.edges)))
-    elif at_least is None or at_least == top:
+    elif n <= MAX_N and at_least == top:
         path = hamiltonian_path(g)
-        if path is not None:
-            result = OptResult(top, SpanningTree(range(n), list(zip(path, path[1:]))))
-        elif at_least is not None:
+        if path is None:
             return None
-        else:
-            # No Hamiltonian path, so the optimum is at most n - 3.
-            result = _branch_and_bound(g, 0, n - 3)
+        result = OptResult(top, SpanningTree(range(n), list(zip(path, path[1:]))))
     else:
         # The search's root cut first: it refutes most NO kernels for free,
         # and only those past it pay for the upper bound.
-        if sum(1 for v in range(n) if g.degree(v) >= 2) < at_least or at_least > _bounds(g)[0]:
+        if sum(1 for v in range(n) if g.degree(v) >= 2) < at_least:
             return None
-        result = _branch_and_bound(g, at_least, at_least)
-        if result is None:
+        ub, tree = _bounds(g)
+        if at_least > ub:
             return None
-    if internal_count(result.witness) != result.opt:
+        if n <= MAX_N:
+            result = _branch_and_bound(g, at_least)
+        else:
+            witness = tree()
+            lb = internal_count(witness)
+            if lb < at_least:
+                raise ResourceLimitError(
+                    f"a graph on {n} vertices with target k' = {at_least} exceeds the oracle "
+                    f"size guard ({MAX_N}), and its bounds leave it open: "
+                    f"lb = {lb} < k' <= ub = {ub}"
+                )
+            result = OptResult(lb, witness)
+    if result is not None and internal_count(result.witness) != result.opt:
         raise InvariantError("oracle witness does not match its count")
     return result
 

@@ -23,7 +23,6 @@ from mistkernel import (
     find_sl,
     greedy_hypertree,
     internal_count,
-    is_hyperforest,
     kernelize,
     opt_internal,
     rearrange_tree,
@@ -36,6 +35,7 @@ import scoreboard
 from bruteforce import (
     brute_has_deficient_partition,
     brute_hamiltonian_path,
+    brute_strong_hall,
     random_spanning_tree,
     verify_expansion,
 )
@@ -175,7 +175,7 @@ def test_criterion_3_hypertree_iff_partition_connected():
             if ht is not None:
                 assert bad_partition is None
                 assert len(ht) == n - 1
-                assert is_hyperforest(h, ht)
+                assert brute_strong_hall([h.hyperedges[eid] for eid in ht])
             else:
                 negatives += 1
                 assert bad_partition is not None

@@ -225,6 +225,29 @@ class TestVerifyCmd:
         assert out == ""
 
 
+    def test_covering_reduction_fails(self, tmp_path, capsys):
+        import json
+
+        # S ∪ L is all of K1,3: contracting it leaves one edge, so the
+        # kernel answers NO at k = 1 where the star answers YES.
+        f = write_graph(tmp_path, "star.gr", star_graph(3))
+        kg = write_graph(tmp_path, "k.gr", Graph(2, [(0, 1)]))
+        tr = tmp_path / "t.json"
+        tr.write_text(json.dumps({
+            "format": "mist-trace-v2", "k_original": 1, "k_prime": 1,
+            "outcome": "kernel", "kernel_vertices": 2, "kernel_edges": 1,
+            "reductions": [{"s": [0], "l": [1, 2, 3],
+                            "bsl_tree": [[0, 1], [0, 2], [0, 3]]}],
+        }))
+        assert run_cli(["solve", "--in", f, "--k", "1"], capsys)[0] == 0
+        assert run_cli(["solve", "--in", kg, "--k", "1"], capsys)[0] == 1
+        code, out, err = run_cli(
+            ["verify", "--graph", f, "--trace", str(tr), "--kernel", kg], capsys)
+        assert code == 1
+        assert out.startswith("FAIL")
+        assert "Traceback" not in err
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize("flag", ["--out-trace", "--out-graph"])
     def test_format_error_without_traceback(self, tmp_path, capsys, flag):

@@ -9,7 +9,6 @@ from mistkernel import (
     border,
     deficient_partition,
     greedy_hypertree,
-    is_hyperforest,
     shrink_to_tree,
 )
 from mistkernel.hypermatroid import Partition, _pair_forest
@@ -30,29 +29,40 @@ def random_hypergraph(rng, max_n=8, max_m=8):
     return Hypergraph(n, edges)
 
 
+def keeps_all(h, ids):
+    """Whether the pair-forest greedy keeps every selected hyperedge, which
+    holds exactly when the selection is a hyperforest."""
+    ids = sorted(set(ids))
+    return len(_pair_forest(h, ids)[0]) == len(ids)
+
+
+def hyperforest(h, ids):
+    """The definition: strong Hall over the selected hyperedges."""
+    return brute_strong_hall([h.hyperedges[i] for i in ids])
+
+
 class TestIsHyperforest:
     def test_single_triple(self):
         h = Hypergraph(3, [{0, 1, 2}])
-        assert is_hyperforest(h, {0})
+        assert keeps_all(h, {0})
 
     def test_two_identical_pairs(self):
         h = Hypergraph(2, [{0, 1}, {0, 1}])
-        assert not is_hyperforest(h, {0, 1})
+        assert not keeps_all(h, {0, 1})
 
     def test_triangle(self):
         h = Hypergraph(3, [{0, 1}, {1, 2}, {0, 2}])
-        assert not is_hyperforest(h, {0, 1, 2})
+        assert not keeps_all(h, {0, 1, 2})
 
     def test_empty_selection(self):
-        assert is_hyperforest(Hypergraph(3, [{0, 1}]), set())
+        assert keeps_all(Hypergraph(3, [{0, 1}]), set())
 
     def test_agrees_with_definition(self):
         rng = random.Random(17)
         for _ in range(120):
             h = random_hypergraph(rng, max_n=6, max_m=6)
             ids = [i for i in range(h.m) if rng.random() < 0.6]
-            sets = [h.hyperedges[i] for i in ids]
-            assert is_hyperforest(h, ids) == brute_strong_hall(sets)
+            assert keeps_all(h, ids) == hyperforest(h, ids)
 
 
 class TestGreedyHypertree:
@@ -87,7 +97,7 @@ class TestGreedyHypertree:
             ht = greedy_hypertree(h)
             if ht is not None:
                 assert len(ht) == h.n - 1
-                assert is_hyperforest(h, ht)
+                assert hyperforest(h, ht)
 
 
 class TestShrinkToTree:
@@ -251,12 +261,12 @@ class TestMatroidExchange:
             h = random_hypergraph(rng, max_n=6, max_m=7)
             small = [i for i in range(h.m) if rng.random() < 0.4]
             large = [i for i in range(h.m) if rng.random() < 0.6]
-            if not (is_hyperforest(h, small) and is_hyperforest(h, large)):
+            if not (hyperforest(h, small) and hyperforest(h, large)):
                 continue
             if len(large) <= len(small):
                 continue
             checked += 1
             assert any(
-                is_hyperforest(h, set(small) | {e})
+                hyperforest(h, set(small) | {e})
                 for e in set(large) - set(small)
             )

@@ -171,6 +171,21 @@ class TestApplyRule3:
             replay_reduction(g, bad)
 
 
+    def test_covering_certificate_is_refused(self):
+        # S ∪ L is all of K1,3, which has a tree with one internal vertex;
+        # the single edge that contracting it would leave has none.  The
+        # certificate itself is valid, and kernelize's cover exit uses it.
+        g = star_graph(3)
+        tree = SpanningTree(range(4), [(0, 1), (0, 2), (0, 3)])
+        cert = SLCertificate(frozenset({0}), frozenset({1, 2, 3}), tree)
+        validate_certificate(g, cert)
+        assert find_sl(g, {1, 2, 3}) == cert
+        with pytest.raises(InvariantError, match="covers the graph"):
+            apply_rule3(g, 1, cert)
+        with pytest.raises(InvariantError, match="covers the graph"):
+            replay_reduction(g, cert)
+
+
 class TestValidateCertificate:
     def test_vertex_outside_graph(self):
         g = double_star()

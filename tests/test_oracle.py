@@ -137,6 +137,21 @@ class TestOptInternal:
             "344839c0680583b66ae7c5ff3838d54372a3e06164ff1a5342a426933e826f43"
         )
 
+    def test_optimum_is_the_highest_target_answered(self):
+        # the optimum's witness is the answer to its own target, and the
+        # target above it has none
+        families = ("random-gnm", "tree-plus", "star-cluster")
+        for j in range(300):
+            rng = random.Random(j)
+            n = rng.randint(3, 12)
+            family = families[j % 3]
+            m = None if family == "star-cluster" else rng.randint(
+                n - 1, min(3 * n // 2, n * (n - 1) // 2))
+            g = generate(family, n, m, seed=j)
+            best = opt_internal(g)
+            assert opt_internal(g, best.opt).witness == best.witness
+            assert opt_internal(g, best.opt + 1) is None
+
     def test_negative_target_is_zero(self):
         # every spanning tree has at least zero internal vertices
         cycle5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -254,7 +269,9 @@ class TestBounds:
     def test_upper_bound_sits_behind_the_root_cut(self, monkeypatch):
         # The upper bound is computed only for a target below n - 2 that the
         # search's root cut (fewer vertices of degree >= 2 than the target)
-        # does not refute: that cut is free, the bound is not.
+        # does not refute: that cut is free, the bound is not.  The optimum
+        # asks targets from n - 2 down, so it computes the bound for a
+        # graph without a Hamiltonian path; K4,5 below has one.
         calls = []
         bounds = oracle._bounds
         monkeypatch.setattr(oracle, "_bounds", lambda g: calls.append(g) or bounds(g))
