@@ -31,7 +31,7 @@ from .kernelizer import (
     replay_reduction,
     validate_certificate,
 )
-from .oracle import OptResult, decide_pist, hamiltonian_path, opt_internal
+from .oracle import decide_pist, hamiltonian_path, opt_internal
 
 __all__ = [
     "ExpansionPair",
@@ -39,7 +39,6 @@ __all__ = [
     "Hypergraph",
     "InvariantError",
     "KernelResult",
-    "OptResult",
     "Partition",
     "PreconditionError",
     "ResourceLimitError",

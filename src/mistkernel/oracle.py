@@ -1,46 +1,48 @@
 """Exact solver for the kernel's question: is there a spanning tree with at
 least k internal vertices?
 
-The solver decides.  `decide_pist` kernelizes and asks
-`opt_internal(kernel, k')`, which returns the first tree it meets with at
-least k' internal vertices, or None; that tree need not have the most.
-No tree on n >= 2 vertices has more than n - 2, so above it the answer is
-no, and at it a Hamiltonian-path DP answers; it visits only the end-sets
-that some path covers, size by size.  Below it one branch-and-bound search
-over the spanning trees answers: each edge in turn is included or
-excluded, an exclusion is allowed only while its ends still reach each
-other over the edges not excluded so far (kept as neighbour bitmasks), and
-a branch is cut when an upper bound falls below k': the vertices that can
-still reach degree 2, or n - 2 less the chosen degrees' excess over 2 (a
-tree has 2 + sum(max(0, deg - 2)) leaves).  The search stops at the first
-tree no cut removes.  A target of 0 or less is answered like 0: every
-spanning tree has at least 0 internal vertices.
+The solver decides, and its answer is a witness tree or None.
+`decide_pist` kernelizes and asks `opt_internal(kernel, k')`, which
+returns the first tree it meets with at least k' internal vertices, or
+None; that tree need not have the most.  A caller that wants the count
+asks `internal_count` of the tree.
+
+A tree on n >= 2 vertices has two leaves, so no target above n - 2 (above
+0 when n = 1) is met, and a target of 0 or less is answered like 0.  At
+that top target a Hamiltonian-path DP answers; it visits only the
+end-sets that some path covers, size by size.  Below it one
+branch-and-bound search over the spanning trees answers: each edge in
+turn is included or excluded, an exclusion is allowed only while its ends
+still reach each other over the edges not excluded so far (kept as
+neighbour bitmasks), and a branch is cut when an upper bound falls below
+k': the vertices that can still reach degree 2, or n - 2 less the chosen
+degrees' excess over 2 (a tree has 2 + sum(max(0, deg - 2)) leaves).  The
+search stops at the first tree no cut removes.
 
 The search is entered only past two refutations.  The first is its own
 root cut, free: fewer vertices of degree at least 2 than k'.  The second
 is the hyperforest upper bound ub = |V - I| + rank(H_I), where I is an
 independent set and H_I = {N(w) : w in I} the hypergraph on V - I
 (Lovász's characterisation; see `_bounds`).  It costs one pair-forest
-greedy, so it comes after the free cut, and the DP at n - 2 does not wait
-for it.  Neither changes a tree the search finds.
+greedy, so it comes after the free cut, and the DP at the top target
+does not wait for it.  Neither changes a tree the search finds.
 
 A kernel on more than MAX_N vertices is beyond the search and the DP, so a
 target there is answered by the same two refutations and the lower-bound
 tree (a Kruskal tree that makes the hyperforest's I-vertices internal):
-no when a refutation holds, that tree when it reaches k', and
+None when a refutation holds, that tree when it reaches k', and
 ResourceLimitError, naming both bounds, in between.
 
 The optimum, `opt_internal(g)`, the ground truth of the tests, is the
-highest target answered: it asks n - 2, n - 3, ... in turn and returns the
-first answer.  Every higher target was refuted, so that answer is the
-search's first tree with the most internal vertices (or the DP's path).
-It raises ResourceLimitError above MAX_N.
+highest target answered: it asks the top target and each one below it
+down to 0 in turn and returns the first tree.  Every higher target was
+refuted, so that tree is the search's first with the most internal
+vertices (or the DP's path).  It raises ResourceLimitError above MAX_N.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 from .graph import (
     Graph,
@@ -56,15 +58,6 @@ from .hypermatroid import Hypergraph, _pair_forest
 from .kernelizer import kernelize, lift_solution
 
 MAX_N = 18  # the largest graph the exhaustive search takes: 2^n end-sets, about 10 MB at 18
-
-
-@dataclass(frozen=True)
-class OptResult:
-    """A spanning tree with its internal-vertex count `opt`: the maximum over
-    all spanning trees, unless the tree answers a target (`at_least`)."""
-
-    opt: int
-    witness: SpanningTree
 
 
 def hamiltonian_path(g: Graph) -> list[int] | None:
@@ -182,7 +175,7 @@ def _bounds(g: Graph):
     return ub, tree
 
 
-def _branch_and_bound(g: Graph, need: int) -> OptResult | None:
+def _branch_and_bound(g: Graph, need: int) -> SpanningTree | None:
     """The first spanning tree of g, in the search's order, with at least
     `need` internal vertices, or None when no tree has that many.
 
@@ -211,7 +204,8 @@ def _branch_and_bound(g: Graph, need: int) -> OptResult | None:
     The leaf-count cut: a tree has 2 + sum(max(0, deg - 2)) leaves and
     chosen degrees only grow, so a branch whose chosen degrees exceed 2 by
     `excess` in total keeps at most n - 2 - excess internal vertices.  A
-    complete tree that is not cut has exactly that many and is the answer.
+    complete tree that is not cut has exactly that many, at least `need`,
+    and is returned.
     """
     edges = sorted(g.edges)
     n = g.n
@@ -239,7 +233,7 @@ def _branch_and_bound(g: Graph, need: int) -> OptResult | None:
         if bound < need or n - 2 - excess < need:
             return None
         if len(chosen) == n - 1:
-            return OptResult(n - 2 - excess, SpanningTree(range(n), chosen))
+            return SpanningTree(range(n), chosen)
         u, v = edges[i]
         ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
@@ -271,39 +265,38 @@ def _branch_and_bound(g: Graph, need: int) -> OptResult | None:
     return rec(0, list(range(n)), [], sum(1 for r in room if r >= 2), 0)
 
 
-def opt_internal(g: Graph, at_least: int | None = None) -> OptResult | None:
-    """Given `at_least`, a tree with at least that many internal vertices
-    (not necessarily the most), or None when no spanning tree has that
-    many.  Without it, the exact optimum with a witness: the answer to the
-    highest target, from n - 2 down, that is not None.
+def opt_internal(g: Graph, at_least: int | None = None) -> SpanningTree | None:
+    """Given `at_least`, a spanning tree of g with at least that many
+    internal vertices (not necessarily the most), or None when no spanning
+    tree has that many.  Without it, a spanning tree with the most internal
+    vertices: the answer to the highest target, from max(n - 2, 0) down,
+    that is not None.
 
-    A graph on more than MAX_N vertices raises ResourceLimitError for the
-    optimum.  Given a target, such a graph gets the same root cut and upper
-    bound, each of which may answer None, and then the lower-bound tree
-    when that reaches the target, or ResourceLimitError.
+    g must be connected and have at least one vertex.  A graph on more than
+    MAX_N vertices raises ResourceLimitError for the optimum.  Given a
+    target, such a graph gets the same root cut and upper bound, each of
+    which may answer None, and then the lower-bound tree when that reaches
+    the target, or ResourceLimitError.
     """
     n = g.n
+    if n < 1:
+        raise PreconditionError("graph must have at least one vertex")
     top = max(n - 2, 0)  # a tree on two or more vertices has two leaves
     if at_least is None:
         if n > MAX_N:
             raise ResourceLimitError(f"graph exceeds the oracle size guard ({MAX_N})")
-        for target in range(top, 0, -1):
-            found = opt_internal(g, target)
-            if found is not None:
-                return found
-        return opt_internal(g, 0)  # every spanning tree answers it
+        answers = (opt_internal(g, target) for target in range(top, -1, -1))
+        return next(t for t in answers if t is not None)  # every spanning tree answers 0
     if not is_connected(g):
         raise PreconditionError("oracle requires a connected graph")
     if at_least > top:
         return None
     at_least = max(at_least, 0)  # every tree has at least 0 internal vertices
-    if n <= 2:
-        result = OptResult(0, SpanningTree(range(n), sorted(g.edges)))
-    elif n <= MAX_N and at_least == top:
+    if n <= MAX_N and at_least == top:
         path = hamiltonian_path(g)
         if path is None:
             return None
-        result = OptResult(top, SpanningTree(range(n), list(zip(path, path[1:]))))
+        found = SpanningTree(range(n), list(zip(path, path[1:])))
     else:
         # The search's root cut first: it refutes most NO kernels for free,
         # and only those past it pay for the upper bound.
@@ -313,20 +306,19 @@ def opt_internal(g: Graph, at_least: int | None = None) -> OptResult | None:
         if at_least > ub:
             return None
         if n <= MAX_N:
-            result = _branch_and_bound(g, at_least)
+            found = _branch_and_bound(g, at_least)
         else:
-            witness = tree()
-            lb = internal_count(witness)
+            found = tree()
+            lb = internal_count(found)
             if lb < at_least:
                 raise ResourceLimitError(
                     f"a graph on {n} vertices with target k' = {at_least} exceeds the oracle "
                     f"size guard ({MAX_N}), and its bounds leave it open: "
                     f"lb = {lb} < k' <= ub = {ub}"
                 )
-            result = OptResult(lb, witness)
-    if result is not None and internal_count(result.witness) != result.opt:
-        raise InvariantError("oracle witness does not match its count")
-    return result
+    if found is not None and internal_count(found) < at_least:
+        raise InvariantError("oracle tree misses its target")
+    return found
 
 
 def decide_pist(g: Graph, k: int):
@@ -343,7 +335,7 @@ def decide_pist(g: Graph, k: int):
     found = opt_internal(res.graph, res.k_prime)
     if found is None:
         return False, None
-    lifted = lift_solution(g, res.trace, found.witness)
+    lifted = lift_solution(g, res.trace, found)
     if internal_count(lifted) < k:
         raise InvariantError("lifted witness misses the target")
     return True, lifted

@@ -114,7 +114,7 @@ def small_runs():
     traces = []
     for fam, n, m, seed in corpus_small():
         g = generate(fam, n, m=m, seed=seed)
-        opt = opt_internal(g).opt
+        opt = internal_count(opt_internal(g))
         for k in range(0, g.n + 1):
             yes, witness = decide_pist(g, k)
             decisions.append((g, k, opt, yes, witness))

@@ -9,6 +9,7 @@ from mistkernel import (
     Graph,
     PreconditionError,
     ResourceLimitError,
+    SpanningTree,
     decide_pist,
     hamiltonian_path,
     internal_count,
@@ -43,15 +44,15 @@ def random_connected(rng, n, extra):
 class TestOptInternal:
     def test_path(self):
         for n in (2, 3, 5, 8):
-            assert opt_internal(path_graph(n)).opt == max(0, n - 2)
+            assert internal_count(opt_internal(path_graph(n))) == max(0, n - 2)
 
     def test_star(self):
         for m in (2, 4, 6):
-            assert opt_internal(star_graph(m)).opt == 1
+            assert internal_count(opt_internal(star_graph(m))) == 1
 
     def test_k5(self):
         g = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-        assert opt_internal(g).opt == 3
+        assert internal_count(opt_internal(g)) == 3
 
     def test_disconnected_rejected(self):
         with pytest.raises(PreconditionError):
@@ -61,23 +62,38 @@ class TestOptInternal:
         with pytest.raises(ResourceLimitError):
             opt_internal(path_graph(19))
 
+    def test_empty_graph_rejected(self):
+        # refused in both modes, whatever the target, as kernelize refuses it
+        for at_least in (None, 1, 0, -1):
+            with pytest.raises(PreconditionError, match="at least one vertex"):
+                opt_internal(Graph(0), at_least)
+
+    def test_one_and_two_vertices(self):
+        # the graph's only spanning tree answers the optimum and every
+        # target up to 0; no tree has an internal vertex
+        for g in (Graph(1), path_graph(2)):
+            only = SpanningTree(range(g.n), g.edges)
+            assert opt_internal(g) == only
+            for at_least in (-1, 0):
+                assert opt_internal(g, at_least) == only
+            assert opt_internal(g, 1) is None
+
     def test_witness_is_optimal(self):
         rng = random.Random(61)
         for _ in range(40):
             g = random_connected(rng, rng.randrange(2, 9), rng.randrange(0, 8))
-            res = opt_internal(g)
-            assert internal_count(res.witness) == res.opt
-            assert res.witness.edges <= g.edges
-            assert res.opt == brute_opt_internal(g)
+            tree = opt_internal(g)
+            assert tree.edges <= g.edges
+            assert internal_count(tree) == brute_opt_internal(g)
 
     def test_upper_bound_and_hamiltonian_boundary(self):
         rng = random.Random(67)
         for _ in range(40):
             n = rng.randrange(3, 9)
             g = random_connected(rng, n, rng.randrange(0, 10))
-            res = opt_internal(g)
-            assert res.opt <= n - 2
-            assert (res.opt == n - 2) == brute_hamiltonian_path(g)
+            opt = internal_count(opt_internal(g))
+            assert opt <= n - 2
+            assert (opt == n - 2) == brute_hamiltonian_path(g)
 
 
     def test_at_least_agrees_with_brute_force(self):
@@ -86,13 +102,13 @@ class TestOptInternal:
             g = random_connected(rng, rng.randrange(2, 10), rng.randrange(0, 8))
             opt = brute_opt_internal(g)
             for at_least in range(g.n + 2):
-                res = opt_internal(g, at_least)
+                tree = opt_internal(g, at_least)
                 if opt < at_least:
-                    assert res is None
+                    assert tree is None
                     continue
-                assert res is not None
-                assert res.witness.edges <= g.edges
-                assert internal_count(res.witness) == res.opt >= at_least
+                assert tree is not None
+                assert tree.edges <= g.edges
+                assert internal_count(tree) >= at_least
 
     def test_optimum_witnesses_are_pinned(self):
         # sha256 of the optimum-mode witnesses of 100 graphs without a
@@ -108,8 +124,8 @@ class TestOptInternal:
             g = generate(family, n, m, seed=rng.randrange(10**6))
             if hamiltonian_path(g) is not None:
                 continue
-            res = opt_internal(g)
-            h.update(f"{g.n};{res.opt};{sorted(res.witness.edges)}\n".encode())
+            tree = opt_internal(g)
+            h.update(f"{g.n};{internal_count(tree)};{sorted(tree.edges)}\n".encode())
             done += 1
         assert h.hexdigest() == (
             "404459e7b3713bcc700fb401f07e19756a12e77ccce25d6ff48900554336b407"
@@ -130,8 +146,8 @@ class TestOptInternal:
             m = rng.randint(n, (3 * n) // 2) if family != "star-cluster" else None
             g = generate(family, n, m, seed=j)
             for k in range(n // 2, n - 2):
-                res = opt_internal(g, k)
-                found = None if res is None else (res.opt, sorted(res.witness.edges))
+                tree = opt_internal(g, k)
+                found = None if tree is None else (internal_count(tree), sorted(tree.edges))
                 h.update(f"{j};{k};{found}\n".encode())
         assert h.hexdigest() == (
             "344839c0680583b66ae7c5ff3838d54372a3e06164ff1a5342a426933e826f43"
@@ -149,8 +165,9 @@ class TestOptInternal:
                 n - 1, min(3 * n // 2, n * (n - 1) // 2))
             g = generate(family, n, m, seed=j)
             best = opt_internal(g)
-            assert opt_internal(g, best.opt).witness == best.witness
-            assert opt_internal(g, best.opt + 1) is None
+            opt = internal_count(best)
+            assert opt_internal(g, opt) == best
+            assert opt_internal(g, opt + 1) is None
 
     def test_negative_target_is_zero(self):
         # every spanning tree has at least zero internal vertices
@@ -162,10 +179,9 @@ class TestOptInternal:
         for g in graphs:
             zero = opt_internal(g, 0)
             for at_least in (-1, -5):
-                res = opt_internal(g, at_least)
-                assert res is not None
-                assert res.opt == zero.opt >= 0
-                assert res.witness.edges == zero.witness.edges
+                tree = opt_internal(g, at_least)
+                assert tree is not None
+                assert tree.edges == zero.edges
 
 
 class TestHamiltonianPath:
@@ -313,7 +329,7 @@ class TestDecidePist:
         rng = random.Random(73)
         for _ in range(40):
             g = random_connected(rng, rng.randrange(2, 10), rng.randrange(0, 6))
-            opt = opt_internal(g).opt
+            opt = internal_count(opt_internal(g))
             for k in range(0, g.n + 1):
                 yes, witness = decide_pist(g, k)
                 assert yes == (opt >= k)
