@@ -21,11 +21,11 @@ pairs = greedy_hypertree(h)
 print(f"hyperedges: {[sorted(e) for e in h.hyperedges]}")
 print(f"greedy hypertree picks edge ids {sorted(pairs)}")
 
-tree, mapping = shrink_to_tree(h, pairs)
+mapping = shrink_to_tree(h, pairs)
 print("each hyperedge shrinks to the single pair the greedy chose for it:")
-for eid, pair in sorted(mapping.items()):
+for eid, pair in mapping.items():
     print(f"  edge {eid}: {sorted(h.hyperedges[eid])} -> {pair}")
-print(f"the pairs form a spanning tree: {sorted(tree.edges)}")
+print(f"the pairs form a spanning tree: {sorted(mapping.values())}")
 
 print("\n--- negative side ---")
 h = Hypergraph(4, [{0, 1}, {0, 1}, {2, 3}])

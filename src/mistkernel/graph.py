@@ -213,8 +213,18 @@ def internal_count(t: SpanningTree, subset=None) -> int:
         raise PreconditionError(f"vertex {exc.args[0]} is not in the tree") from None
 
 
+def _check_spans(g: Graph, t: SpanningTree) -> None:
+    """PreconditionError unless t is a spanning tree of g: its vertices are
+    0..n-1 and its edges are edges of g."""
+    if t.vertices != frozenset(range(g.n)):
+        raise PreconditionError("tree does not span the graph")
+    if not t.edges <= g.edges:
+        raise PreconditionError("tree has an edge that is not in the graph")
+
+
 def dfs_leaf_independent_set(g: Graph, t: SpanningTree) -> frozenset:
-    """Leaves of a DFS tree minus its root; pairwise nonadjacent in g."""
+    """Leaves of a DFS tree of g minus its root; pairwise nonadjacent in g."""
+    _check_spans(g, t)
     out = t.leaves() - ({t.root} if t.root is not None else frozenset())
     for v in out:
         for w in g.neighbors(v):

@@ -33,8 +33,8 @@ from collections import deque
 from .graph import (
     InvariantError,
     PreconditionError,
-    SpanningTree,
     _components,
+    _find,
     _tree_path,
 )
 
@@ -192,17 +192,22 @@ def greedy_hypertree(h: Hypergraph) -> dict | None:
     return dict(pairs) if len(pairs) == h.n - 1 else None
 
 
-def shrink_to_tree(h: Hypergraph, pairs: dict):
+def shrink_to_tree(h: Hypergraph, pairs: dict) -> dict:
     """Shrink a hypertree to a spanning tree, given its pair forest as
     `greedy_hypertree` returns it: n - 1 pairs, each a 2-subset of its own
-    hyperedge, that form no cycle.  Returns the tree and the mapping."""
+    hyperedge, that form no cycle.  Returns the checked pairs, the tree's
+    edges, as {edge id: (a, b)} in ascending id order."""
     if len(pairs) != h.n - 1:
         raise PreconditionError(f"a hypertree on {h.n} vertices needs {h.n - 1} pairs")
+    parent = list(range(h.n))
     for eid, (a, b) in pairs.items():
         if not 0 <= eid < h.m or a == b or not {a, b} <= h.hyperedges[eid]:
             raise PreconditionError(f"pair ({a}, {b}) is not a 2-subset of hyperedge {eid}")
-    mapping = dict(sorted(pairs.items()))
-    return SpanningTree(range(h.n), mapping.values()), mapping
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra == rb:
+            raise PreconditionError("the pairs contain a cycle")
+        parent[ra] = rb
+    return dict(sorted(pairs.items()))
 
 
 def border(h: Hypergraph, p: Partition) -> frozenset:

@@ -20,6 +20,7 @@ from .graph import (
     PreconditionError,
     SpanningTree,
     _adjacency,
+    _check_spans,
     _components,
     _tree_path,
     dfs_leaf_independent_set,
@@ -111,7 +112,7 @@ def _bsl_tree(g: Graph, pair):
         else:
             raise InvariantError("no partition part holds twice its size in L-vertices")
         pair = find_expansion_2(g, x, y)
-    _, mapping = shrink_to_tree(h, pairs)
+    mapping = shrink_to_tree(h, pairs)
     edges = [(l_sorted[eid], s_sorted[a]) for eid, ab in mapping.items() for a in ab]
     edges += [
         (w, min(g.neighbors(w))) for i, w in enumerate(l_sorted) if i not in mapping
@@ -263,8 +264,7 @@ def lift_solution(g_original: Graph, trace, t: SpanningTree) -> SpanningTree:
     graphs = [g_original]
     for cert in trace:
         graphs.append(replay_reduction(graphs[-1], cert))
-    if t.vertices != frozenset(range(graphs[-1].n)):
-        raise PreconditionError("tree does not span the final reduced graph")
+    _check_spans(graphs[-1], t)
     cur = t
     for cert, g_pre in zip(reversed(list(trace)), reversed(graphs[:-1])):
         before = internal_count(cur)
@@ -381,8 +381,7 @@ def rearrange_tree(g: Graph, t: SpanningTree, cert: SLCertificate) -> SpanningTr
     internal.
     """
     validate_certificate(g, cert)
-    if t.vertices != frozenset(range(g.n)):
-        raise PreconditionError("tree does not span the graph")
+    _check_spans(g, t)
     s, l = cert.s, cert.l
     forest = {e for e in t.edges if e[0] not in l and e[1] not in l}
     while True:

@@ -32,12 +32,6 @@ target there is answered by the same two refutations and the lower-bound
 tree (a Kruskal tree that makes the hyperforest's I-vertices internal):
 None when a refutation holds, that tree when it reaches k', and
 ResourceLimitError, naming both bounds, in between.
-
-The optimum, `opt_internal(g)`, the ground truth of the tests, is the
-highest target answered: it asks the top target and each one below it
-down to 0 in turn and returns the first tree.  Every higher target was
-refuted, so that tree is the search's first with the most internal
-vertices (or the DP's path).  It raises ResourceLimitError above MAX_N.
 """
 
 from __future__ import annotations
@@ -265,28 +259,19 @@ def _branch_and_bound(g: Graph, need: int) -> SpanningTree | None:
     return rec(0, list(range(n)), [], sum(1 for r in room if r >= 2), 0)
 
 
-def opt_internal(g: Graph, at_least: int | None = None) -> SpanningTree | None:
-    """Given `at_least`, a spanning tree of g with at least that many
-    internal vertices (not necessarily the most), or None when no spanning
-    tree has that many.  Without it, a spanning tree with the most internal
-    vertices: the answer to the highest target, from max(n - 2, 0) down,
-    that is not None.
+def opt_internal(g: Graph, at_least: int) -> SpanningTree | None:
+    """A spanning tree of g with at least `at_least` internal vertices (not
+    necessarily the most), or None when no spanning tree has that many.
 
     g must be connected and have at least one vertex.  A graph on more than
-    MAX_N vertices raises ResourceLimitError for the optimum.  Given a
-    target, such a graph gets the same root cut and upper bound, each of
-    which may answer None, and then the lower-bound tree when that reaches
-    the target, or ResourceLimitError.
+    MAX_N vertices gets the same root cut and upper bound, each of which
+    may answer None, and then the lower-bound tree when that reaches the
+    target, or ResourceLimitError.
     """
     n = g.n
     if n < 1:
         raise PreconditionError("graph must have at least one vertex")
     top = max(n - 2, 0)  # a tree on two or more vertices has two leaves
-    if at_least is None:
-        if n > MAX_N:
-            raise ResourceLimitError(f"graph exceeds the oracle size guard ({MAX_N})")
-        answers = (opt_internal(g, target) for target in range(top, -1, -1))
-        return next(t for t in answers if t is not None)  # every spanning tree answers 0
     if not is_connected(g):
         raise PreconditionError("oracle requires a connected graph")
     if at_least > top:

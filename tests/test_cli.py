@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import time
@@ -8,6 +9,8 @@ import pytest
 from mistkernel import Graph, InvariantError, SpanningTree, internal_count, is_connected
 from mistkernel.cli import EXIT_INTERNAL, EXIT_RESOURCE, main
 from mistkernel.fileformats import parse_edge_list, serialize_edge_list
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args, capsys):
@@ -349,9 +352,10 @@ class TestConsoleScript:
         g = serialize_edge_list(path_graph(6))
         f = tmp_path / "p6.gr"
         f.write_text(g)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "mistkernel.cli", "solve", "--in", str(f),
              "--k", "4"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "YES"

@@ -214,6 +214,15 @@ class TestDfsLeafIndependentSet:
             for u in out:
                 assert not set(g.neighbors(u)) & out
 
+    def test_tree_of_another_graph_rejected(self):
+        # a tree over other vertices, or over edges that g lacks, is bad input
+        for g, t in (
+            (path_graph(3), dfs_tree(path_graph(6), 0)),
+            (path_graph(4), SpanningTree(range(4), [(0, 2), (1, 2), (1, 3)], root=0)),
+        ):
+            with pytest.raises(PreconditionError):
+                dfs_leaf_independent_set(g, t)
+
 
 class TestMatching:
     def test_k22(self):

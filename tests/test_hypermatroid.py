@@ -6,6 +6,7 @@ import pytest
 from mistkernel import (
     Hypergraph,
     PreconditionError,
+    SpanningTree,
     border,
     deficient_partition,
     greedy_hypertree,
@@ -103,14 +104,13 @@ class TestGreedyHypertree:
 class TestShrinkToTree:
     def test_identity_on_graph_tree(self):
         h = Hypergraph(3, [{0, 1}, {1, 2}])
-        t, mapping = shrink_to_tree(h, greedy_hypertree(h))
-        assert t.edges == frozenset({(0, 1), (1, 2)})
+        mapping = shrink_to_tree(h, greedy_hypertree(h))
         assert mapping == {0: (0, 1), 1: (1, 2)}
 
     def test_mixed_sizes(self):
         h = Hypergraph(3, [{0, 1, 2}, {1, 2}])
-        t, mapping = shrink_to_tree(h, greedy_hypertree(h))
-        assert is_tree_edge_set(range(3), sorted(t.edges))
+        mapping = shrink_to_tree(h, greedy_hypertree(h))
+        assert is_tree_edge_set(range(3), sorted(mapping.values()))
         for eid, (u, v) in mapping.items():
             assert {u, v} <= set(h.hyperedges[eid])
         # edge 0 is the only edge holding vertex 0, so the tree reaches 0
@@ -125,14 +125,14 @@ class TestShrinkToTree:
         # edge 1 can only take the pair (0, 1), which edge 0 would pick
         # first; the hypertree exists only if edge 0 gives that pair up
         h = Hypergraph(len(edges[0]), edges)
-        t, mapping = shrink_to_tree(h, greedy_hypertree(h))
-        assert is_tree_edge_set(range(h.n), sorted(t.edges))
+        mapping = shrink_to_tree(h, greedy_hypertree(h))
+        assert is_tree_edge_set(range(h.n), sorted(mapping.values()))
         assert mapping[1] == (0, 1)
         assert set(mapping[0]) <= h.hyperedges[0]
 
     def test_star(self):
         h = Hypergraph(5, [{0, i} for i in range(1, 5)])
-        t, _ = shrink_to_tree(h, greedy_hypertree(h))
+        t = SpanningTree(range(h.n), shrink_to_tree(h, greedy_hypertree(h)).values())
         assert t.edges == frozenset((0, i) for i in range(1, 5))
 
     def test_rejects_non_hypertree(self):
@@ -143,7 +143,8 @@ class TestShrinkToTree:
 
     def test_rejects_bad_pair_forests(self):
         h = Hypergraph(4, [{0, 1, 2, 3}, {0, 1, 2}, {0, 2, 3}])
-        t, _ = shrink_to_tree(h, {0: (0, 1), 1: (1, 2), 2: (2, 3)})
+        pairs = shrink_to_tree(h, {0: (0, 1), 1: (1, 2), 2: (2, 3)})
+        t = SpanningTree(range(h.n), pairs.values())
         assert t.edges == frozenset({(0, 1), (1, 2), (2, 3)})
         for pairs in (
             {0: (0, 1), 1: (1, 3), 2: (2, 3)},  # (1, 3) is outside hyperedge 1
@@ -162,8 +163,9 @@ class TestShrinkToTree:
             ht = greedy_hypertree(h)
             if ht is None:
                 continue
-            t, mapping = shrink_to_tree(h, ht)
-            assert is_tree_edge_set(range(h.n), sorted(t.edges))
+            mapping = shrink_to_tree(h, ht)
+            assert list(mapping) == sorted(ht)  # ascending edge ids
+            assert is_tree_edge_set(range(h.n), sorted(mapping.values()))
             for eid, (u, v) in mapping.items():
                 assert {u, v} <= set(h.hyperedges[eid])
 
@@ -179,7 +181,7 @@ class TestShrinkToTree:
                 continue
             checked += 1
             assert pairs == _pair_forest(h, sorted(pairs))[0]
-            assert shrink_to_tree(h, pairs)[1] == pairs
+            assert shrink_to_tree(h, pairs) == pairs
 
 
 class TestBorder:
@@ -235,8 +237,8 @@ class TestLargerHypergraphs:
             p = deficient_partition(h)
             assert (ht is None) == (p is not None)
             if p is None:
-                t, mapping = shrink_to_tree(h, ht)
-                assert is_tree_edge_set(range(n), sorted(t.edges))
+                mapping = shrink_to_tree(h, ht)
+                assert is_tree_edge_set(range(n), sorted(mapping.values()))
                 assert all(set(mapping[i]) <= h.hyperedges[i] for i in ht)
             else:
                 assert len(border(h, p)) <= len(p) - 2

@@ -322,6 +322,25 @@ class TestLiftSolution:
             assert lifted.edges <= g.edges
             assert internal_count(lifted) >= internal_count(t) + delta
 
+    def test_tree_with_a_non_edge_rejected(self):
+        # a tree of P4 over two non-edges, with no trace; and, after one
+        # reduction, the kernel's DFS tree with (0, 3) swapped for the
+        # non-edge (0, 1), and a path over the kernel's ids
+        p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        cases = [(p4, (), SpanningTree(range(4), [(0, 2), (1, 2), (1, 3)]))]
+        g = generate("star-cluster", 30, seed=56)
+        res = kernelize(g, 9)
+        assert res.outcome == "kernel" and len(res.trace) == 1
+        kg = res.graph
+        assert (0, 3) in kg.edges and (0, 1) not in kg.edges
+        swapped = dfs_tree(kg, 0).edges - {(0, 3)} | {(0, 1)}
+        path = [(v, v + 1) for v in range(kg.n - 1)]
+        for edges in (swapped, path):
+            cases.append((g, res.trace, SpanningTree(range(kg.n), edges)))
+        for host, trace, t in cases:
+            with pytest.raises(PreconditionError, match="not in the graph"):
+                lift_solution(host, trace, t)
+
 
 class TestRearrangeTree:
     def test_preserves_when_tree_is_cert_tree(self):
@@ -339,6 +358,18 @@ class TestRearrangeTree:
         assert all(out.degree(v) >= 2 for v in cert.s)
         assert internal_count(out, cert.l) == len(cert.s) - 1
         assert internal_count(out) >= internal_count(t)
+
+    def test_tree_off_the_graph_rejected(self):
+        # the path 2-0-3-4-1-5 uses the non-edge (3, 4); a tree on five of
+        # the six vertices does not span
+        g = double_star()
+        cert = find_sl(g, {2, 3, 4, 5})
+        for t in (
+            SpanningTree(range(6), [(0, 2), (0, 3), (3, 4), (1, 4), (1, 5)]),
+            SpanningTree(range(5), [(0, 1), (0, 2), (0, 3), (1, 4)]),
+        ):
+            with pytest.raises(PreconditionError):
+                rearrange_tree(g, t, cert)
 
     def test_random_monotonicity(self):
         rng = random.Random(37)
