@@ -7,7 +7,6 @@ from .graph import (
     PreconditionError,
     ResourceLimitError,
     SpanningTree,
-    dfs_leaf_independent_set,
     dfs_tree,
     internal_count,
     is_connected,
@@ -48,7 +47,6 @@ __all__ = [
     "border",
     "decide_pist",
     "deficient_partition",
-    "dfs_leaf_independent_set",
     "dfs_tree",
     "find_expansion_2",
     "find_sl",

@@ -43,7 +43,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
 
 
@@ -69,7 +69,7 @@ def cmd_kernelize(args) -> int:
         if args.out_graph:
             _write(args.out_graph, serialize_edge_list(result.graph))
         print(f"KERNEL {result.graph.n} {result.graph.m} {result.k_prime}")
-    elif result.outcome in ("solved", "trivial_yes"):
+    elif result.outcome == "solved":
         print(f"SOLVED {internal_count(result.witness)}")
         _print_tree(result.witness)
     else:

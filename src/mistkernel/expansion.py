@@ -48,17 +48,10 @@ def _augment(adj: dict, left_order) -> dict:
     for root in left_order:
         if root in match_left:
             continue
-        nbrs = adj[root]
-        # The search tries the root's first neighbor first; when it is free
-        # (the common case) match it without building the search state.
-        if nbrs and nbrs[0] not in match_right:
-            match_left[root] = nbrs[0]
-            match_right[nbrs[0]] = root
-            continue
         seen = set()
         # stack[i] is a left vertex with the iterator over its remaining
         # neighbors; path[i] is the right vertex stack[i] currently tries.
-        stack = [(root, iter(nbrs))]
+        stack = [(root, iter(adj[root]))]
         path: list = []
         while stack:
             for w in stack[-1][1]:

@@ -133,7 +133,8 @@ def trace_from_json(text: str):
 
 
 def verify_trace(g: Graph, meta: dict, records, kernel: Graph) -> None:
-    """Replay a trace against its input graph and check the kernel matches.
+    """Replay a trace against its input graph and check the kernel matches
+    and holds at most 3k' vertices.
 
     Raises InvariantError naming the first violated invariant;
     replay_reduction checks each certificate against the graph it reduces.
@@ -152,3 +153,7 @@ def verify_trace(g: Graph, meta: dict, records, kernel: Graph) -> None:
         raise InvariantError("a kernel trace needs integer k_original and k_prime")
     if k_original - sum(cert.delta_k for cert in records) != k_prime:
         raise InvariantError("k' is inconsistent with the recorded reductions")
+    if kernel.n > 3 * k_prime:
+        raise InvariantError(
+            f"kernel has {kernel.n} vertices, above the 3k' = {3 * k_prime} bound"
+        )

@@ -8,6 +8,7 @@ reduction rule feeds on.  All output is deterministic given the seed.
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from .graph import Graph, PreconditionError, is_connected, normalize_edge
@@ -26,10 +27,7 @@ def _prufer_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
     for v in seq:
         count[v] += 1
     edges = []
-    leaf_heap = sorted(v for v in range(n) if count[v] == 0)
-    import heapq
-
-    heapq.heapify(leaf_heap)
+    leaf_heap = [v for v in range(n) if count[v] == 0]  # ascending, so a heap
     for v in seq:
         leaf = heapq.heappop(leaf_heap)
         edges.append(normalize_edge(leaf, v))

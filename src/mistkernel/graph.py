@@ -99,9 +99,9 @@ class SpanningTree:
     graph's vertices (e.g. over S ∪ L) keep their original labels.
     """
 
-    __slots__ = ("vertices", "edges", "root", "_deg")
+    __slots__ = ("vertices", "edges", "_deg")
 
-    def __init__(self, vertices, edges, root=None):
+    def __init__(self, vertices, edges):
         vs = frozenset(vertices)
         if not vs:
             raise PreconditionError("a tree needs at least one vertex")
@@ -121,11 +121,8 @@ class SpanningTree:
             if ru == rv:
                 raise PreconditionError("edge set contains a cycle")
             parent[ru] = rv
-        if root is not None and root not in vs:
-            raise PreconditionError(f"root {root} not in the vertex set")
         self.vertices = vs
         self.edges = es
-        self.root = root
         self._deg = deg
 
     def degree(self, v: int) -> int:
@@ -148,7 +145,7 @@ class SpanningTree:
         return hash((self.vertices, self.edges))
 
     def __repr__(self):
-        return f"SpanningTree(|V|={len(self.vertices)}, root={self.root})"
+        return f"SpanningTree(|V|={len(self.vertices)})"
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +197,7 @@ def dfs_tree(g: Graph, root: int) -> SpanningTree:
     if not all(visited):
         raise PreconditionError("graph must be connected")
     edges = [(v, parent[v]) for v in range(g.n) if parent[v] >= 0]
-    return SpanningTree(range(g.n), edges, root=root)
+    return SpanningTree(range(g.n), edges)
 
 
 def internal_count(t: SpanningTree, subset=None) -> int:
@@ -222,19 +219,6 @@ def _check_spans(g: Graph, t: SpanningTree) -> None:
         raise PreconditionError("tree has an edge that is not in the graph")
 
 
-def dfs_leaf_independent_set(g: Graph, t: SpanningTree) -> frozenset:
-    """Leaves of a DFS tree of g minus its root; pairwise nonadjacent in g."""
-    _check_spans(g, t)
-    out = t.leaves() - ({t.root} if t.root is not None else frozenset())
-    for v in out:
-        for w in g.neighbors(v):
-            if w in out:
-                raise PreconditionError(
-                    "tree is not a DFS tree of g: two non-root leaves are adjacent"
-                )
-    return out
-
-
 def _find(parent, x):
     """The root of x in a union-find forest, halving the path on the way.
 
@@ -248,9 +232,7 @@ def _find(parent, x):
 
 
 def _components(vertices, edges) -> dict:
-    """Maps each vertex to the lowest vertex of its component.  The result
-    is itself a union-find forest of depth one, so `_find` can go on
-    joining components in it."""
+    """Maps each vertex to the lowest vertex of its component."""
     parent = {v: v for v in vertices}
     for u, v in edges:
         ru, rv = _find(parent, u), _find(parent, v)

@@ -23,7 +23,6 @@ from .graph import (
     _check_spans,
     _components,
     _tree_path,
-    dfs_leaf_independent_set,
     dfs_tree,
     internal_count,
     is_connected,
@@ -63,8 +62,8 @@ class SLCertificate:
 class KernelResult:
     """Outcome of kernelization.
 
-    outcome is one of "solved", "kernel", "trivial_yes", "trivial_no".
-    Solved / trivial_yes carry a witness tree of the *original* graph;
+    outcome is one of "solved", "kernel", "trivial_no".  Solved carries a
+    witness tree of the *original* graph (for k <= 0, the first DFS tree);
     kernel carries the reduced graph, the adjusted target and the trace,
     the SLCertificate of each reduction in order.
     """
@@ -304,22 +303,17 @@ def _unwind(g_pre: Graph, cert: SLCertificate, t: SpanningTree) -> SpanningTree:
 
 
 def kernelize(g: Graph, k: int) -> KernelResult:
-    """Run the reduction loop; solve, kernelize, or answer trivially.
+    """Run the reduction loop; solve, kernelize, or answer no outright.
 
     Rule 1 returns the current graph once n <= 3k.  Rule 2 answers yes via
-    a DFS tree with enough internal vertices (lifted through the trace).
+    a DFS tree with enough internal vertices (lifted through the trace); for
+    k <= 0 that is the first DFS tree, with an empty trace and k' = k.
     Rule 3 shrinks the graph using a fresh (S, L) certificate and repeats.
+    A target above n - 2 is answered "trivial_no" before any search.
     """
     if g.n < 1:
         raise PreconditionError("graph must have at least one vertex")
     t = dfs_tree(g, 0)  # raises PreconditionError on a disconnected graph
-    if k <= 0:
-        return KernelResult(
-            "trivial_yes",
-            witness=t,
-            k_prime=k,
-            reason="every spanning tree has at least zero internal vertices",
-        )
     max_internal = g.n - 2 if g.n >= 2 else 0
     if k > max_internal:
         return KernelResult(
@@ -335,8 +329,8 @@ def kernelize(g: Graph, k: int) -> KernelResult:
     while internal_count(t) < k_cur:
         if cur.n <= 3 * k_cur:
             return KernelResult("kernel", graph=cur, k_prime=k_cur, trace=tuple(trace))
-        ind = dfs_leaf_independent_set(cur, t)
-        cert = find_sl(cur, ind)
+        # the non-root leaves of a DFS tree are pairwise nonadjacent
+        cert = find_sl(cur, t.leaves() - {0})
         if len(cert.s) + len(cert.l) == cur.n:
             # S ∪ L covers the graph, so the reduction would collapse it to a
             # single edge and lose information.  But here the answer is exact:

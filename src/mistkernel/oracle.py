@@ -313,7 +313,7 @@ def decide_pist(g: Graph, k: int):
     disconnected graph with PreconditionError.
     """
     res = kernelize(g, k)
-    if res.outcome in ("solved", "trivial_yes"):
+    if res.outcome == "solved":
         return True, res.witness
     if res.outcome == "trivial_no":
         return False, None

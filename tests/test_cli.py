@@ -250,6 +250,47 @@ class TestVerifyCmd:
         assert out.startswith("FAIL")
         assert "Traceback" not in err
 
+    def test_kernel_above_3k_prime_fails(self, tmp_path, capsys):
+        import json
+
+        from mistkernel.generate import generate
+
+        # a trace with no reduction that claims the whole graph as its
+        # kernel: 150 vertices against 3k' = 147
+        g = generate("star-cluster", 150, seed=1)
+        f = write_graph(tmp_path, "g.gr", g)
+        tr = tmp_path / "t.json"
+        tr.write_text(json.dumps({
+            "format": "mist-trace-v2", "k_original": 49, "k_prime": 49,
+            "outcome": "kernel", "kernel_vertices": g.n, "kernel_edges": g.m,
+            "reductions": [],
+        }))
+        code, out, err = run_cli(
+            ["verify", "--graph", f, "--trace", str(tr), "--kernel", f], capsys)
+        assert code == 1
+        assert out.startswith("FAIL") and "3k'" in out
+        assert "Traceback" not in err
+
+
+class TestUndecodableInput:
+    def test_graph_file(self, tmp_path, capsys):
+        f = tmp_path / "g.gr"
+        f.write_bytes(b"p 2 1\ne 0 1\xff\n")
+        code, _, err = run_cli(["solve", "--in", str(f), "--k", "0"], capsys)
+        assert code == 2
+        assert err.startswith(f"format error: cannot read {f}")
+        assert "Traceback" not in err
+
+    def test_trace_file(self, tmp_path, capsys):
+        f = write_graph(tmp_path, "g.gr", path_graph(3))
+        tr = tmp_path / "t.json"
+        tr.write_bytes(b'{"format": "\xff"}')
+        code, _, err = run_cli(
+            ["verify", "--graph", f, "--trace", str(tr), "--kernel", f], capsys)
+        assert code == 2
+        assert err.startswith(f"format error: cannot read {tr}")
+        assert "Traceback" not in err
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("flag", ["--out-trace", "--out-graph"])

@@ -8,7 +8,6 @@ from mistkernel import (
     Graph,
     PreconditionError,
     SpanningTree,
-    dfs_leaf_independent_set,
     dfs_tree,
     internal_count,
     is_connected,
@@ -97,11 +96,9 @@ class TestSpanningTree:
             SpanningTree({0, 1, 2}, [(0, 1), (1, 3)])
         with pytest.raises(PreconditionError, match="at least one vertex"):
             SpanningTree((), ())
-        with pytest.raises(PreconditionError, match="root"):
-            SpanningTree({0, 1}, [(0, 1)], root=2)
         with pytest.raises(PreconditionError, match="needs 2 edges"):
             SpanningTree({0, 1, 2}, [(0, 1), (1, 0)])
-        assert SpanningTree({5}, (), root=5).vertices == frozenset({5})
+        assert SpanningTree({5}, ()).vertices == frozenset({5})
 
 
 def test_components_match_bfs_labels():
@@ -159,6 +156,27 @@ class TestDfsTree:
             assert len(t.edges) == n - 1
             assert t.edges <= g.edges
 
+    def test_non_root_leaves_of_star_path_and_cycle(self):
+        g = star_graph(5)
+        assert dfs_tree(g, 0).leaves() - {0} == frozenset(range(1, 6))
+        assert dfs_tree(path_graph(5), 0).leaves() - {0} == frozenset({4})
+        assert len(dfs_tree(cycle_graph(6), 0).leaves() - {0}) == 1
+
+    def test_non_root_leaves_are_independent(self):
+        # the set kernelize hands to find_sl
+        rng = random.Random(11)
+        for _ in range(30):
+            n = rng.randrange(3, 12)
+            edges = {(i, rng.randrange(i)) for i in range(1, n)}
+            for _ in range(n):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v:
+                    edges.add((max(u, v), min(u, v)))
+            g = Graph(n, edges)
+            out = dfs_tree(g, 0).leaves() - {0}
+            for u in out:
+                assert not set(g.neighbors(u)) & out
+
 
 class TestInternalCount:
     def test_path_all(self):
@@ -184,44 +202,6 @@ class TestInternalCount:
             g = Graph(n, [(i, rng.randrange(i)) for i in range(1, n)])
             t = dfs_tree(g, 0)
             assert internal_count(t) == n - len(t.leaves())
-
-
-class TestDfsLeafIndependentSet:
-    def test_star_center_root(self):
-        g = star_graph(5)
-        assert dfs_leaf_independent_set(g, dfs_tree(g, 0)) == frozenset(range(1, 6))
-
-    def test_path_endpoint_root(self):
-        g = path_graph(5)
-        assert dfs_leaf_independent_set(g, dfs_tree(g, 0)) == frozenset({4})
-
-    def test_cycle(self):
-        g = cycle_graph(6)
-        out = dfs_leaf_independent_set(g, dfs_tree(g, 0))
-        assert len(out) == 1
-
-    def test_independence_on_random_graphs(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            n = rng.randrange(3, 12)
-            edges = {(i, rng.randrange(i)) for i in range(1, n)}
-            for _ in range(n):
-                u, v = rng.randrange(n), rng.randrange(n)
-                if u != v:
-                    edges.add((max(u, v), min(u, v)))
-            g = Graph(n, edges)
-            out = dfs_leaf_independent_set(g, dfs_tree(g, 0))
-            for u in out:
-                assert not set(g.neighbors(u)) & out
-
-    def test_tree_of_another_graph_rejected(self):
-        # a tree over other vertices, or over edges that g lacks, is bad input
-        for g, t in (
-            (path_graph(3), dfs_tree(path_graph(6), 0)),
-            (path_graph(4), SpanningTree(range(4), [(0, 2), (1, 2), (1, 3)], root=0)),
-        ):
-            with pytest.raises(PreconditionError):
-                dfs_leaf_independent_set(g, t)
 
 
 class TestMatching:

@@ -231,11 +231,15 @@ class TestKernelize:
 
     def test_trivial_guards(self):
         g = star_graph(3)
-        assert kernelize(g, 0).outcome == "trivial_yes"
-        assert kernelize(g, -2).outcome == "trivial_yes"
+        # k <= 0: the first DFS tree answers, through an empty trace
+        for h, k in ((g, 0), (g, -2), (Graph(1), 0)):
+            res = kernelize(h, k)
+            assert res.outcome == "solved"
+            assert res.witness == dfs_tree(h, 0)
+            assert res.trace == ()
+            assert res.k_prime == k
         assert kernelize(g, 3).outcome == "trivial_no"  # k > n - 2
         assert kernelize(Graph(1), 1).outcome == "trivial_no"
-        assert kernelize(Graph(1), 0).outcome == "trivial_yes"
 
     def test_disconnected_rejected(self):
         # before any trivial answer: at k = 0, in range, and above n - 2
