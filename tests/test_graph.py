@@ -156,12 +156,6 @@ class TestDfsTree:
             assert len(t.edges) == n - 1
             assert t.edges <= g.edges
 
-    def test_non_root_leaves_of_star_path_and_cycle(self):
-        g = star_graph(5)
-        assert dfs_tree(g, 0).leaves() - {0} == frozenset(range(1, 6))
-        assert dfs_tree(path_graph(5), 0).leaves() - {0} == frozenset({4})
-        assert len(dfs_tree(cycle_graph(6), 0).leaves() - {0}) == 1
-
     def test_non_root_leaves_are_independent(self):
         # the set kernelize hands to find_sl
         rng = random.Random(11)
@@ -176,6 +170,18 @@ class TestDfsTree:
             out = dfs_tree(g, 0).leaves() - {0}
             for u in out:
                 assert not set(g.neighbors(u)) & out
+
+
+class TestDfsLeafIndependentSet:
+    # the non-root leaves of a DFS tree, the set kernelize hands to find_sl
+    def test_star_center_root(self):
+        assert dfs_tree(star_graph(5), 0).leaves() - {0} == frozenset(range(1, 6))
+
+    def test_path_endpoint_root(self):
+        assert dfs_tree(path_graph(5), 0).leaves() - {0} == frozenset({4})
+
+    def test_cycle(self):
+        assert len(dfs_tree(cycle_graph(6), 0).leaves() - {0}) == 1
 
 
 class TestInternalCount:
