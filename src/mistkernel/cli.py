@@ -5,12 +5,14 @@ Subcommands: kernelize, solve, verify, gen.  Exit codes: 0 success/yes,
 (a failed consistency check, which is a bug; `verify` reports a trace
 that fails one as FAIL with exit 1 instead), 5 resource limit (valid
 input too large to finish, such as a kernel beyond the exact oracle's
-size guard whose target its bounds leave open).
+size guard whose target its bounds leave open), 141 (128 + SIGPIPE) when
+stdout closes before the output is written, as in `mist kernelize ... | head -1`.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .fileformats import (
@@ -37,6 +39,7 @@ EXIT_FORMAT = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 EXIT_RESOURCE = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 
 def _read(path: str) -> str:
@@ -161,6 +164,13 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull, so that flushing
+        # what is still buffered at interpreter exit fails quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

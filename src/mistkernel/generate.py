@@ -62,9 +62,11 @@ def generate(family: str, n: int, m: int | None = None, seed: int = 0) -> Graph:
     """Build a connected instance from the named family, deterministically."""
     if family not in FAMILIES:
         raise PreconditionError(f"unknown family {family!r}")
+    if family != "star-cluster" and m is None:
+        raise PreconditionError("random-gnm and tree-plus need an edge count m")
     rng = random.Random(seed)
     if family == "random-gnm":
-        if n < 1 or m is None or m < n - 1 or m > n * (n - 1) // 2:
+        if n < 1 or m < n - 1 or m > n * (n - 1) // 2:
             raise PreconditionError("random-gnm needs n >= 1 and n-1 <= m <= n(n-1)/2")
         for _ in range(20):
             g = Graph(n, _sample_pairs(n, m, rng))
@@ -75,7 +77,7 @@ def generate(family: str, n: int, m: int | None = None, seed: int = 0) -> Graph:
         extra = _sample_pairs(n, m - len(tree), rng, frozenset(tree))
         return Graph(n, tree + extra)
     if family == "tree-plus":
-        if n < 1 or m is None or m < n - 1 or m > n * (n - 1) // 2:
+        if n < 1 or m < n - 1 or m > n * (n - 1) // 2:
             raise PreconditionError("tree-plus needs n >= 1 and n-1 <= m <= n(n-1)/2")
         tree = _prufer_tree(n, rng)
         extra = _sample_pairs(n, m - len(tree), rng, frozenset(tree))

@@ -10,14 +10,17 @@ asks `internal_count` of the tree.
 A tree on n >= 2 vertices has two leaves, so no target above n - 2 (above
 0 when n = 1) is met, and a target of 0 or less is answered like 0.  At
 that top target a Hamiltonian-path DP answers; it visits only the
-end-sets that some path covers, size by size.  Below it one
-branch-and-bound search over the spanning trees answers: each edge in
-turn is included or excluded, an exclusion is allowed only while its ends
-still reach each other over the edges not excluded so far (kept as
-neighbour bitmasks), and a branch is cut when an upper bound falls below
-k': the vertices that can still reach degree 2, or n - 2 less the chosen
-degrees' excess over 2 (a tree has 2 + sum(max(0, deg - 2)) leaves).  The
-search stops at the first tree no cut removes.
+end-sets that some path covers, size by size, and when the graph has a
+vertex of degree at most 1, only the paths that start at such a forced
+end.  Below it one branch-and-bound search over the spanning trees
+answers: each edge in turn is included or excluded, an exclusion is
+allowed only while its ends still reach each other over the edges not
+excluded so far (kept as neighbour bitmasks, and searched from both ends
+at once, so refusing a bridge costs about its smaller side), and a
+branch is cut when an upper bound falls below k': the vertices that can
+still reach degree 2, or n - 2 less the chosen degrees' excess over 2 (a
+tree has 2 + sum(max(0, deg - 2)) leaves).  The search stops at the
+first tree no cut removes.
 
 The search is entered only past two refutations.  The first is its own
 root cut, free: fewer vertices of degree at least 2 than k'.  The second
@@ -54,36 +57,23 @@ from .kernelizer import kernelize, lift_solution
 MAX_N = 18  # the largest graph the exhaustive search takes: 2^n end-sets, about 10 MB at 18
 
 
-def hamiltonian_path(g: Graph) -> list[int] | None:
-    """A Hamiltonian path as a vertex list, or None.  Bitmask DP (Bellman;
-    Held and Karp, 1962): `ends[mask]` holds the vertices where a path
-    through exactly `mask` can end.  The DP grows the end-sets size by size
-    and visits only the masks some path covers: each step extends the
-    masks the last one reached, and lists each mask the first time a path
-    reaches it.  A mask is complete before it is extended, because every
-    path into it comes from the size below.  The walk back starts at the
-    lowest end of the full set and steps to the lowest neighbour that ends
-    a path through the rest, so no parent is stored.
-
-    Only the two ends of a Hamiltonian path have degree 1 on it, so a graph
-    with more than two vertices of degree at most 1 has none; the DP is
-    skipped for those.  A graph on more than MAX_N vertices raises
-    ResourceLimitError.
+def _grow_ends(nbr_mask: list[int], starts: int) -> list[int]:
+    """The end-set table of the paths that start in `starts` (a bitmask):
+    `ends[mask]` holds the vertices where such a path through exactly
+    `mask` can end.  The table grows size by size and visits only the masks
+    some path covers: each step extends the masks the last one reached, and
+    lists each mask the first time a path reaches it.  A mask is complete
+    before it is extended, because every path into it comes from the size
+    below.
     """
-    n = g.n
-    if n > MAX_N:
-        raise ResourceLimitError(f"graph exceeds the oracle size guard ({MAX_N})")
-    if sum(1 for v in range(n) if g.degree(v) <= 1) > 2:
-        return None
-    nbr_mask = [0] * n
-    for u, v in g.edges:
-        nbr_mask[u] |= 1 << v
-        nbr_mask[v] |= 1 << u
-    full = (1 << n) - 1
+    n = len(nbr_mask)
     ends = [0] * (1 << n)
-    for v in range(n):
-        ends[1 << v] = 1 << v
-    reached = [1 << v for v in range(n)]  # the masks of one size that paths cover
+    reached = []  # the masks of one size that paths cover
+    while starts:
+        low = starts & -starts
+        starts ^= low
+        ends[low] = low
+        reached.append(low)
     for _ in range(n - 1):
         grown = array("l")  # 8 bytes a mask, where a list keeps an int object per mask
         for mask in reached:
@@ -103,9 +93,61 @@ def hamiltonian_path(g: Graph) -> list[int] | None:
                     grown.append(grown_mask)
                 ends[grown_mask] = have | w
         reached = grown
-    if not ends[full]:
+    return ends
+
+
+def hamiltonian_path(g: Graph) -> list[int] | None:
+    """A Hamiltonian path as a vertex list, or None.  Bitmask DP (Bellman;
+    Held and Karp, 1962) over end-sets, grown by `_grow_ends`.  The walk
+    back starts at the lowest end of any Hamiltonian path and steps to the
+    lowest neighbour that ends a path through the rest, so no parent is
+    stored.
+
+    Forced ends.  A vertex of degree at most 1 cannot be interior to a
+    path, so each vertex of D, the vertices of degree at most 1, is an end
+    of every Hamiltonian path.  A graph with |D| > 2 has none; the DP is
+    skipped for those.  Otherwise the table grows only the paths that
+    start in D, or from every vertex when D is empty; let E be its full
+    set's ends.  With D empty E holds the ends of all Hamiltonian paths,
+    and otherwise each of them has an end in D, so D | E holds them, and
+    the walk starts at x = min(D | E), where the walk over the table from
+    every vertex starts.
+
+    Why the smaller table gives the walk of the table grown from every
+    vertex: the walk asks, for a suffix x, ..., p already fixed and the
+    set M of vertices not on it, which neighbours w of p end a path Q
+    through M.  Each such Q, followed by the suffix reversed, is a
+    Hamiltonian path with ends start(Q) and x, so the table from all
+    vertices answers w exactly when the table from the vertices that can
+    be start(Q) does.  With D empty every vertex can.  With |D| = 2 both
+    ends lie in D, so start(Q) does.  With D = {d} and x != d, the end in
+    D is start(Q) = d.  With D = {d} and x = d, which happens when d is
+    below every vertex of E, start(Q) is the other end of a Hamiltonian
+    path from d, so it lies in E: a second table grown from E answers.
+    The first table is released before the second grows, so one table is
+    the peak.  A graph on more than MAX_N vertices raises
+    ResourceLimitError.
+    """
+    n = g.n
+    if n > MAX_N:
+        raise ResourceLimitError(f"graph exceeds the oracle size guard ({MAX_N})")
+    forced = sum(1 << v for v in range(n) if g.degree(v) <= 1)  # D as a bitmask
+    if forced.bit_count() > 2:
         return None
-    path = [(ends[full] & -ends[full]).bit_length() - 1]
+    nbr_mask = [0] * n
+    for u, v in g.edges:
+        nbr_mask[u] |= 1 << v
+        nbr_mask[v] |= 1 << u
+    full = (1 << n) - 1
+    ends = _grow_ends(nbr_mask, forced or full)
+    found = ends[full]
+    if not found:
+        return None
+    lowest = (forced | found) & -(forced | found)
+    if not lowest & found:  # the lone forced end, below every end found
+        del ends
+        ends = _grow_ends(nbr_mask, found)
+    path = [lowest.bit_length() - 1]
     mask = full
     while len(path) < n:
         mask ^= 1 << path[-1]
@@ -182,9 +224,14 @@ def _branch_and_bound(g: Graph, need: int) -> SpanningTree | None:
     edges not excluded so far, and those edges stay connected: g is
     connected, an inclusion leaves them as they are, and an exclusion is
     allowed only if they stay connected.  So excluding (u, v) is allowed
-    exactly when u still reaches v without it, which a bitmask search
-    answers, stopping as soon as it sees v; an edge that closes a cycle of
-    chosen edges needs no search.  Backtracking restores the bits.  Once
+    exactly when u still reaches v without it.  A bitmask search answers
+    from both sides: u's side and v's side each add one vertex in turn, the
+    answer is yes as soon as one side's new neighbours meet the other's
+    seen set, and no as soon as either side runs out, which then is its
+    whole component.  The sides stay disjoint until they meet, so the
+    answer is that of a search from u alone, and refusing a bridge walks
+    at most about twice its smaller side, not all of u's.  An edge that closes a cycle of chosen
+    edges needs no search.  Backtracking restores the bits.  Once
     every edge is decided, the edges not excluded are the chosen ones, so
     they form a spanning tree: the edges never run out before a tree is
     complete.
@@ -212,15 +259,21 @@ def _branch_and_bound(g: Graph, need: int) -> SpanningTree | None:
         live[v] |= 1 << u
 
     def reaches(u: int, v: int) -> bool:
-        target = 1 << v
-        seen = todo = 1 << u
-        while todo:
-            low = todo & -todo
+        seen_u = todo_u = 1 << u
+        seen_v = todo_v = 1 << v
+        while todo_u and todo_v:
+            low = todo_u & -todo_u
             nbrs = live[low.bit_length() - 1]
-            if nbrs & target:
+            if nbrs & seen_v:
                 return True
-            todo = (todo ^ low) | (nbrs & ~seen)
-            seen |= nbrs
+            todo_u = (todo_u ^ low) | (nbrs & ~seen_u)
+            seen_u |= nbrs
+            low = todo_v & -todo_v
+            nbrs = live[low.bit_length() - 1]
+            if nbrs & seen_u:
+                return True
+            todo_v = (todo_v ^ low) | (nbrs & ~seen_v)
+            seen_v |= nbrs
         return False
 
     def rec(i: int, parent: list, chosen: list, bound: int, excess: int):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from mistkernel import Graph, InvariantError, SpanningTree, internal_count, is_connected
-from mistkernel.cli import EXIT_INTERNAL, EXIT_RESOURCE, main
+from mistkernel.cli import EXIT_INTERNAL, EXIT_PIPE, EXIT_RESOURCE, main
 from mistkernel.fileformats import parse_edge_list, serialize_edge_list
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -386,6 +386,11 @@ class TestGenCmd:
         code, _, _ = run_cli(
             ["gen", "--family", "random-gnm", "--n", "5", "--m", "2"], capsys)
         assert code == 2
+        # n is fine here; what is missing is the edge count
+        for family in ("tree-plus", "random-gnm"):
+            code, _, err = run_cli(["gen", "--family", family, "--n", "5"], capsys)
+            assert code == 2
+            assert "need an edge count" in err
 
 
 class TestConsoleScript:
@@ -400,3 +405,20 @@ class TestConsoleScript:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "YES"
+
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        # `kernelize --k 0` on a 20000-vertex path prints its 19999 tree
+        # edges, about 250 KB: far more than a 64 KB pipe holds, so a write
+        # after the reader closes its end fails every time.
+        f = write_graph(tmp_path, "p.gr", path_graph(20000))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mistkernel.cli", "kernelize", "--in", f, "--k", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_PIPE == 141
+        assert first == b"SOLVED 19998\n"
+        assert b"Traceback" not in err and b"Exception ignored" not in err

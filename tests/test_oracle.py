@@ -241,17 +241,54 @@ class TestHamiltonianPath:
 
     def test_memory_is_the_end_set_table(self):
         # 64 bytes per end-set leaves no room for a map per (mask, end)
-        # state, which peaks at 1.9 MB on K6,6 and 1.1 MB on K5,7.
-        for a, b in ((6, 6), (5, 7)):
-            g = complete_bipartite(a, b)
+        # state, which peaks at 1.9 MB on K6,6 and 1.1 MB on K5,7.  A
+        # pendant vertex 0 hung on K6,6 takes the second pass, and the first
+        # table is released before it grows: the peak stays below two
+        # tables' 8-byte slots (one table peaks at about 1.5 of them).
+        pendant = Graph(13, [(0, 1)] + [(1 + i, 7 + j) for i in range(6) for j in range(6)])
+        for g, has_path in ((complete_bipartite(6, 6), True),
+                            (complete_bipartite(5, 7), False), (pendant, True)):
             tracemalloc.start()
             try:
                 path = hamiltonian_path(g)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert (path is not None) == (a == b)
+            assert (path is not None) == has_path
             assert peak < 64 << g.n
+        assert path[-1] == 0
+        assert peak < 16 << pendant.n
+
+    def test_paths_grow_from_their_forced_ends(self, monkeypatch):
+        # The start sets the DP's table grows from.  Vertices of degree at
+        # most 1 end every Hamiltonian path, so only they start one; a lone
+        # pendant below every other end takes a second pass from those ends.
+        starts = []
+        grow = oracle._grow_ends
+        monkeypatch.setattr(
+            oracle, "_grow_ends", lambda nbr_mask, s: starts.append(s) or grow(nbr_mask, s))
+
+        def run(g):
+            starts.clear()
+            path = hamiltonian_path(g)
+            assert path is not None and brute_hamiltonian_path(g)
+            assert sorted(path) == list(range(g.n))
+            assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+            return path, list(starts)
+
+        k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+        # two pendant vertices, 0 and 4: one pass from exactly them
+        two = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (3, 5), (2, 5)])
+        assert run(two) == ([4, 3, 5, 2, 1, 0], [0b10001])
+        # pendant 0 on K4 {1..4}: the other ends are 2, 3, 4, all above 0
+        low = Graph(5, [(0, 1)] + [(u + 1, v + 1) for u, v in k4])
+        assert run(low) == ([4, 3, 2, 1, 0], [0b00001, 0b11100])
+        # pendant 4 on K4 {0..3}: the end 0 is below it, one pass
+        high = Graph(5, k4 + [(3, 4)])
+        assert run(high) == ([4, 3, 2, 1, 0], [0b10000])
+        # no pendant: the 5-cycle grows from every vertex
+        cycle = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+        assert run(cycle) == ([4, 3, 2, 1, 0], [0b11111])
 
 
 class TestBounds:
