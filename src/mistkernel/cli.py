@@ -43,8 +43,9 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 
 def _read(path: str) -> str:
+    # utf-8-sig drops the byte-order mark some editors write at the start
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None

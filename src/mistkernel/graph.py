@@ -9,7 +9,8 @@ visits vertices in ascending index order.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from operator import countOf, lt
 
 
 class PreconditionError(ValueError):
@@ -44,20 +45,27 @@ class Graph:
             raise PreconditionError("vertex count must be nonnegative")
         es = set()
         adj = [[] for _ in range(n)]
-        for u, v in edges:
+        for e in edges:
+            u, v = e
             if not (0 <= u < n and 0 <= v < n):
                 raise PreconditionError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise PreconditionError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
+            # a pair that already is a canonical tuple is kept as given
+            if u > v:
+                e = (v, u)
+            elif type(e) is not tuple:
+                e = (u, v)
             if e in es:
                 raise PreconditionError(f"parallel edge {e}")
             es.add(e)
             adj[u].append(v)
             adj[v].append(u)
+        for a in adj:
+            a.sort()
         self.n = n
         self.edges = frozenset(es)
-        self._adj = tuple(map(tuple, map(sorted, adj)))
+        self._adj = tuple(map(tuple, adj))
 
     @property
     def m(self) -> int:
@@ -97,6 +105,11 @@ class SpanningTree:
 
     The vertex set does not have to be 0..n-1; trees over subsets of a host
     graph's vertices (e.g. over S ∪ L) keep their original labels.
+
+    The constructor checks any edge set: |V| - 1 distinct edges inside the
+    vertex set, and no cycle among them (by union-find).  `dfs_tree` builds
+    its trees through `_from_parents` instead, which checks a parent array
+    against the discovery order.
     """
 
     __slots__ = ("vertices", "edges", "_deg")
@@ -124,6 +137,40 @@ class SpanningTree:
         self.vertices = vs
         self.edges = es
         self._deg = deg
+
+    @classmethod
+    def _from_parents(cls, root: int, parent: list, order: list) -> SpanningTree:
+        """The tree on 0..n-1 (n = len(parent)) whose edges join each vertex
+        v != root to parent[v].
+
+        PreconditionError unless every such parent is a vertex discovered
+        before its child, order[parent[v]] < order[v].  That is enough:
+        following parents then strictly lowers the order, so from any
+        vertex it ends at the one vertex without a parent, the root.  The
+        n - 1 edges thus connect all n vertices, which makes them a tree.
+        parent[root] is ignored.
+        """
+        n = len(parent)
+        kids = [*range(root), *range(root + 1, n)]
+        ps = parent[:root] + parent[root + 1:]
+        if ps and not (
+            0 <= min(ps)
+            and max(ps) < n
+            and all(map(lt, map(order.__getitem__, ps), map(order.__getitem__, kids)))
+        ):
+            raise PreconditionError(
+                "parent array has a cycle or a vertex without a parent"
+            )
+        # degree: 1 for the edge to the parent (none at the root), plus 1
+        # for each child
+        deg = Counter(dict.fromkeys(range(n), 1))
+        deg[root] = 0
+        deg.update(ps)
+        t = cls.__new__(cls)
+        t.vertices = frozenset(range(n))
+        t.edges = frozenset((v, p) if v < p else (p, v) for v, p in zip(kids, ps))
+        t._deg = dict(deg)
+        return t
 
     def degree(self, v: int) -> int:
         return self._deg[v]
@@ -174,36 +221,40 @@ def dfs_tree(g: Graph, root: int) -> SpanningTree:
     """DFS spanning tree from `root`, visiting neighbors in ascending order.
 
     A vertex the search does not reach means g is disconnected, which
-    raises PreconditionError.
+    raises PreconditionError.  The search numbers the vertices in the
+    order it discovers them, and `SpanningTree._from_parents` checks the
+    tree by that numbering: each parent is discovered before its child.
     """
     if not (0 <= root < g.n):
         raise PreconditionError(f"root {root} out of range")
     adj = g._adj
     parent = [-1] * g.n
-    visited = [False] * g.n
-    visited[root] = True
+    # order[v] is v's discovery index, counted from 1; 0 means not yet seen
+    order = [0] * g.n
+    order[root] = seen = 1
     # each stack entry is a vertex with the iterator over its unscanned neighbors
     stack = [(root, iter(adj[root]))]
     while stack:
         u, rest = stack[-1]
         for w in rest:
-            if not visited[w]:
-                visited[w] = True
+            if not order[w]:
+                seen += 1
+                order[w] = seen
                 parent[w] = u
                 stack.append((w, iter(adj[w])))
                 break
         else:
             stack.pop()
-    if not all(visited):
+    if seen < g.n:
         raise PreconditionError("graph must be connected")
-    edges = [(v, parent[v]) for v in range(g.n) if parent[v] >= 0]
-    return SpanningTree(range(g.n), edges)
+    return SpanningTree._from_parents(root, parent, order)
 
 
 def internal_count(t: SpanningTree, subset=None) -> int:
     """Number of subset vertices with tree degree >= 2 (subset defaults to all)."""
     if subset is None:
-        return sum(1 for d in t._deg.values() if d >= 2)
+        degs = t._deg.values()
+        return len(degs) - countOf(degs, 0) - countOf(degs, 1)
     try:
         return sum(1 for v in subset if t._deg[v] >= 2)
     except KeyError as exc:

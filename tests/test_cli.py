@@ -292,6 +292,47 @@ class TestUndecodableInput:
         assert "Traceback" not in err
 
 
+class TestByteOrderMark:
+    BOM = "\ufeff".encode()
+
+    def _pair(self, tmp_path, name, text):
+        plain, marked = tmp_path / name, tmp_path / ("bom-" + name)
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(self.BOM + text.encode())
+        return str(plain), str(marked)
+
+    @pytest.mark.parametrize("text", [
+        "p 3 2\ne 0 1\ne 1 2\n",
+        "# a comment first\np 3 2\ne 0 1\ne 1 2\n",
+    ])
+    def test_edge_list_solves_as_without(self, tmp_path, capsys, text):
+        plain, marked = self._pair(tmp_path, "g.gr", text)
+        for k in ("1", "2"):
+            expect = run_cli(["solve", "--in", plain, "--k", k], capsys)
+            assert run_cli(["solve", "--in", marked, "--k", k], capsys) == expect
+        assert expect[0] == 1
+
+    def test_trace_verifies_as_without(self, tmp_path, capsys):
+        f = write_graph(tmp_path, "g.gr", star_with_tail())
+        tr, kg = str(tmp_path / "t.json"), str(tmp_path / "k.gr")
+        code, _, _ = run_cli(["kernelize", "--in", f, "--k", "3",
+                              "--out-graph", kg, "--out-trace", tr], capsys)
+        assert code == 0
+        plain, marked = self._pair(tmp_path, "t2.json", Path(tr).read_text())
+        expect = run_cli(["verify", "--graph", f, "--trace", plain, "--kernel", kg], capsys)
+        assert expect[:2] == (0, "OK\n")
+        assert run_cli(
+            ["verify", "--graph", f, "--trace", marked, "--kernel", kg], capsys) == expect
+
+    def test_mark_inside_a_file_is_a_format_error(self, tmp_path, capsys):
+        f = tmp_path / "g.gr"
+        f.write_bytes(b"p 3 2\n" + self.BOM + b"e 0 1\ne 1 2\n")
+        code, _, err = run_cli(["solve", "--in", str(f), "--k", "1"], capsys)
+        assert code == 2
+        # the line's repr shows the mark escaped
+        assert err == "format error: bad edge line: '\\ufeffe 0 1'\n"
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize("flag", ["--out-trace", "--out-graph"])
     def test_format_error_without_traceback(self, tmp_path, capsys, flag):

@@ -58,6 +58,25 @@ class TestGraphBasics:
         assert g.degree(0) == 2
 
 
+class TestGraphInputs:
+    def test_any_pair_form_gives_the_same_graph(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        for edges in (
+            [[0, 1], [2, 1]],
+            [(1, 0), (2, 1)],
+            ((u, v) for u, v in [(0, 1), (2, 1)]),
+        ):
+            h = Graph(3, edges)
+            assert h.edges == g.edges
+            assert all(type(e) is tuple and e[0] < e[1] for e in h.edges)
+            assert h._adj == g._adj == ((1,), (0, 2), (1,))
+
+    def test_canonical_tuples_are_kept(self):
+        pairs = [(0, 2), (1, 2)]
+        g = Graph(3, pairs)
+        assert {id(e) for e in g.edges} == {id(e) for e in pairs}
+
+
 class TestConnectivity:
     def test_path_connected(self):
         assert is_connected(path_graph(4))
@@ -171,6 +190,49 @@ class TestDfsTree:
             for u in out:
                 assert not set(g.neighbors(u)) & out
 
+    def test_equals_the_checked_tree_from_every_root(self):
+        # the tree _from_parents builds equals the one the general
+        # constructor accepts from the same edges
+        graphs = [Graph(1), Graph(2, [(0, 1)])]
+        graphs += [generate("random-gnm", n, m=2 * n, seed=s)
+                   for n in (5, 9, 14) for s in range(3)]
+        graphs += [generate("tree-plus", n, m=n + 3, seed=s)
+                   for n in (6, 12) for s in range(3)]
+        graphs += [generate("star-cluster", 20, seed=s) for s in range(2)]
+        for g in graphs:
+            for root in range(g.n):
+                t = dfs_tree(g, root)
+                u = SpanningTree(range(g.n), t.edges)
+                assert t == u and t.vertices == frozenset(range(g.n))
+                assert t._deg == u._deg
+
+    def test_large_path_and_star(self):
+        n = 100_000
+        assert internal_count(dfs_tree(path_graph(n), 0)) == n - 2
+        assert internal_count(dfs_tree(path_graph(n), n // 2)) == n - 2
+        assert internal_count(dfs_tree(star_graph(n - 1), 0)) == 1
+        assert internal_count(dfs_tree(star_graph(n - 1), n - 1)) == 1
+
+
+class TestFromParents:
+    def test_builds_the_tree_of_a_parent_array(self):
+        # 2 is the root; 0 and 3 hang off it, 1 off 0
+        t = SpanningTree._from_parents(2, [2, 0, -1, 2], [2, 3, 1, 4])
+        assert t == SpanningTree(range(4), [(0, 2), (0, 1), (2, 3)])
+        assert [t.degree(v) for v in range(4)] == [2, 1, 2, 1]
+        assert SpanningTree._from_parents(0, [-1], [1])._deg == {0: 0}
+
+    @pytest.mark.parametrize("parent, order", [
+        ([-1, 2, 1], [1, 2, 3]),  # 1 and 2 are each other's parent
+        ([-1, 0, 1], [1, 3, 2]),  # 2's parent 1 is discovered after it
+        # 2 has no parent; read as an index, -1 would name 3, found before 2
+        ([-1, 0, -1, 0], [1, 2, 4, 3]),
+        ([-1, 0, 2], [1, 2, 3]),  # 2 is its own parent
+    ])
+    def test_refuses_what_is_not_a_tree(self, parent, order):
+        with pytest.raises(PreconditionError, match="cycle"):
+            SpanningTree._from_parents(0, parent, order)
+
 
 class TestDfsLeafIndependentSet:
     # the non-root leaves of a DFS tree, the set kernelize hands to find_sl
@@ -200,6 +262,14 @@ class TestInternalCount:
         assert internal_count(t, [0, 1]) == 1
         with pytest.raises(PreconditionError, match=r"^vertex 7 is not in the tree$"):
             internal_count(t, [0, 7])
+
+    def test_matches_the_definition(self):
+        rng = random.Random(13)
+        for n in [1, 2, 2] + [rng.randrange(3, 40) for _ in range(40)]:
+            edges = [(i, rng.randrange(i)) for i in range(1, n)]
+            t = SpanningTree(range(n), edges)
+            degree = {v: sum(v in e for e in edges) for v in range(n)}
+            assert internal_count(t) == sum(d >= 2 for d in degree.values())
 
     def test_matches_leaf_complement(self):
         rng = random.Random(3)
