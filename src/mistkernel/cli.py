@@ -78,6 +78,7 @@ def cmd_kernelize(args) -> int:
         _print_tree(result.witness)
     else:
         print("TRIVIAL-NO")
+        print(f"no: {result.reason}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -17,13 +17,22 @@ matroid that allows one pair per hyperedge.  `_search` is a breadth-first
 search of their exchange graph.  It either extends a pair forest by a new
 hyperedge, re-pairing the hyperedges along a shortest augmenting path, or
 reports the forest pairs it reached.  The greedy hypertree adds hyperedges
-this way in ascending id order.  When it stops short of |V| - 1, a last
-search from every unchosen hyperedge reaches a set U of forest pairs, and
-by the min-max theorem of matroid intersection the components of U form a
-partition with at most |parts| - 2 border hyperedges.  So a hypergraph
-contains a hypertree exactly when every partition of its vertices has at
-least |parts| - 1 border hyperedges (partition-connectivity; Frank,
-Király and Kriesell).
+this way in ascending id order, but it searches only where the answer is
+not known before.  A union-find over the forest's components tells in
+near-constant time whether two vertices lie in different components.  A
+new hyperedge with lowest vertex r and a vertex outside r's component C
+takes (r, b) for the first such b: that is what the search finds at its
+first node.  A new hyperedge inside C can join only by re-pairing a
+forest hyperedge of C, and only one of three or more vertices has another
+pair to move to; when C holds none, the search cannot succeed and is
+skipped.  `_pair_forest` proves both shortcuts.  So on hypergraphs of
+pairs the greedy is Kruskal's algorithm.  When it stops short of |V| - 1,
+a last search from every unchosen hyperedge reaches a set U of forest
+pairs, and by the min-max theorem of matroid intersection the components
+of U form a partition with at most |parts| - 2 border hyperedges.  So a
+hypergraph contains a hypertree exactly when every partition of its
+vertices has at least |parts| - 1 border hyperedges
+(partition-connectivity; Frank, Király and Kriesell).
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ class Hypergraph:
         self.n = n
         self.hyperedges = tuple(edges)
         self._ascending = tuple(ascending)  # each hyperedge's vertices, ascending
-        self._forest = None  # the greedy's (pairs, adj), once `_greedy` ran
+        self._forest = None  # the greedy's (pairs, adj, comp), once `_greedy` ran
 
     @property
     def m(self) -> int:
@@ -104,40 +113,48 @@ class Partition:
 # The exchange-graph search
 
 
-def _search(h: Hypergraph, pairs: dict, adj: dict, starts):
+def _search(h: Hypergraph, pairs: dict, adj: dict, comp: list, starts):
     """Breadth-first search of the exchange graph from the hyperedges `starts`,
     which hold no pair of the pair forest `pairs`; `adj` is the forest's
-    adjacency with owners, {a: {b: edge id}}.
+    adjacency with owners, {a: {b: edge id}}, and `comp` a union-find over
+    its components, as `_pair_forest` keeps them.
 
     The nodes are hyperedges, each standing for its pairs.  Let r be the
-    lowest vertex of a hyperedge.  A pair (r, b) whose ends lie in two
-    forest components ends the search; otherwise it leads to the forest
-    pairs on the forest path from r to b, and from each of those to the
-    other pairs of its hyperedge.  The forest paths from r cover every
-    forest pair that any pair of the hyperedge leads to, so hyperedges are
-    reached at their exchange-graph distance, and the first end found
-    closes a shortest augmenting path: swapping its pairs in keeps the
-    pairs a forest with one pair per hyperedge.
+    lowest vertex of a hyperedge.  A pair (r, b) is an end when r and b
+    have different roots in `comp`, a test that walks no forest path.
+    Otherwise they lie in one forest component, and the pair leads to the
+    forest pairs on the forest path from r to b, which exists, and from
+    each of those to the other pairs of its hyperedge.  The forest paths
+    from r cover every forest pair that any pair of the hyperedge leads
+    to, so hyperedges are reached at their exchange-graph distance, and
+    the first end found closes a shortest augmenting path: swapping its
+    pairs in keeps the pairs a forest with one pair per hyperedge.
 
-    Returns ({edge id: new pair} along that path, None) on success, and
-    (None, ids of the forest hyperedges reached) otherwise.
+    `_pair_forest` takes the end of a new hyperedge itself, without a
+    search, so it searches only from a hyperedge inside one component,
+    where an end can only be a re-paired forest hyperedge of three or
+    more vertices.  The search from `deficient_partition` meets no end.
+
+    Returns ({edge id: new pair} along that path, None) on success, the
+    end first, and (None, ids of the forest hyperedges reached) otherwise.
     """
     came_from = dict.fromkeys(starts)
     queue = deque(came_from)
     while queue:
         eid = queue.popleft()
         r, *rest = h._ascending[eid]
+        root = _find(comp, r)
         for b in rest:
             if pairs.get(eid) == (r, b):
                 continue
-            path = _tree_path(adj, r, b)
-            if path is None:
+            if _find(comp, b) != root:
                 swap, step = {}, (eid, (r, b))
                 while step is not None:
                     eid, pair = step
                     swap[eid] = pair
                     step = came_from[eid]
                 return swap, None
+            path = _tree_path(adj, r, b)
             for a, c in zip(path, path[1:]):
                 owner = adj[a][c]
                 if owner not in came_from:
@@ -147,16 +164,59 @@ def _search(h: Hypergraph, pairs: dict, adj: dict, starts):
 
 
 def _pair_forest(h: Hypergraph, ids):
-    """Matroid greedy over the edge ids in the given order; the pair forest
-    of the hyperedges it keeps, and its adjacency as `_search` takes it."""
+    """Matroid greedy over the edge ids in the given order: the pair forest
+    of the hyperedges it keeps, its adjacency and the union-find over its
+    components, as `_search` takes them.
+
+    It keeps exactly what a `_search` from each new hyperedge s in turn
+    would keep, but searches only where the answer is not known before.
+    Let r be the lowest vertex of s, and C its forest component.
+
+    - Components only merge.  Every forest pair holds its hyperedge's
+      lowest vertex, as every pair the search tries does.  Along an
+      augmenting path s = e0, e1, ..., ek, the old pair of e(i+1) lies on
+      the forest path of the new pair of ei, so by induction every pair
+      on the path, old and new, lies in C, except the last new pair
+      (rk, b), which joins C to the component of b.  The new forest has one
+      pair more than the old one and lies within the old components with
+      those two merged, so its components are exactly those.
+    - Direct add.  When a vertex of s lies outside C, s takes (r, b) for
+      the first such b: the search dequeues s first and tries its pairs
+      (r, b) in ascending b, and that b is the first end it meets.
+    - Skip.  When every vertex of s lies in C, every forest path the
+      search walks lies in C, so it reaches only hyperedges whose forest
+      pair lies in C.  A hyperedge of two vertices has no pair but its
+      forest pair, which the search does not try, so it leads nowhere.
+      Hence when no forest hyperedge of three or more vertices lies in C
+      the search fails, and the greedy skips it.  `wide` counts those
+      hyperedges per component root; a merge adds the two counts, and one
+      more when s itself has three or more vertices (its new pair lies in
+      the merged component, with every other pair on the path).
+    """
     pairs: dict = {}
     adj: dict = {}
+    comp = list(range(h.n))
+    wide = [0] * h.n
     for eid in ids:
         if len(pairs) == h.n - 1:
             break
-        swap, _ = _search(h, pairs, adj, [eid])
-        if swap is None:
-            continue
+        r, *rest = h._ascending[eid]
+        root = _find(comp, r)
+        for b in rest:
+            other = _find(comp, b)
+            if other != root:
+                swap = {eid: (r, b)}
+                break
+        else:
+            if not wide[root]:
+                continue
+            swap, _ = _search(h, pairs, adj, comp, [eid])
+            if swap is None:
+                continue
+            _, b = next(iter(swap.values()))  # the pair that ends the path
+            other = _find(comp, b)
+        comp[other] = root
+        wide[root] += wide[other] + (len(rest) >= 2)
         # Drop every old pair before adding a new one: a new pair may repeat
         # the old pair of the next hyperedge on the path.
         for e in swap.keys() & pairs.keys():
@@ -166,7 +226,7 @@ def _pair_forest(h: Hypergraph, ids):
             adj.setdefault(a, {})[b] = e
             adj.setdefault(b, {})[a] = e
         pairs.update(swap)
-    return pairs, adj
+    return pairs, adj, comp
 
 
 def _greedy(h: Hypergraph):
@@ -188,7 +248,7 @@ def greedy_hypertree(h: Hypergraph) -> dict | None:
     The dict is a copy: changing it does not reach `deficient_partition`."""
     if h.n < 1:
         raise PreconditionError("hypergraph must have at least one vertex")
-    pairs, _ = _greedy(h)
+    pairs = _greedy(h)[0]
     return dict(pairs) if len(pairs) == h.n - 1 else None
 
 
@@ -235,15 +295,15 @@ def deficient_partition(h: Hypergraph) -> Partition | None:
     """
     if h.n < 2:
         raise PreconditionError("need at least two vertices")
-    pairs, adj = _greedy(h)
+    pairs, adj, comp = _greedy(h)
     if len(pairs) == h.n - 1:
         return None
-    swap, reached = _search(h, pairs, adj, [i for i in range(h.m) if i not in pairs])
+    unchosen = [i for i in range(h.m) if i not in pairs]
+    swap, reached = _search(h, pairs, adj, comp, unchosen)
     if swap is not None:
         raise InvariantError("the greedy missed an augmenting path")
-    comp = _components(range(h.n), [pairs[i] for i in reached])
     parts: dict = {}
-    for v, root in comp.items():
+    for v, root in _components(range(h.n), [pairs[i] for i in reached]).items():
         parts.setdefault(root, []).append(v)
     p = Partition(h.n, parts.values())
     if len(border(h, p)) > len(p) - 2:

@@ -189,7 +189,7 @@ def _bounds(g: Graph):
     rest = [v for v in range(n) if v not in in_i]
     index = {v: i for i, v in enumerate(rest)}  # V - I, numbered from 0
     h = Hypergraph(len(rest), [[index[a] for a in g.neighbors(w)] for w in indep])
-    pairs, _ = _pair_forest(h, range(h.m))
+    pairs = _pair_forest(h, range(h.m))[0]
     ub = min(len(rest) + len(pairs), n - 2)
 
     def tree() -> SpanningTree:

@@ -1,12 +1,14 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here is definitional enumeration; none of it shares code with
-the algorithms under test.
+Everything here is definitional enumeration, except `reference_greedy`,
+the hypertree greedy without shortcuts; none of it shares code with the
+algorithms under test.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from mistkernel.graph import Graph, SpanningTree, normalize_edge
 
@@ -172,3 +174,96 @@ def random_spanning_tree(g: Graph, rng) -> SpanningTree:
             parent[ru] = rv
             chosen.append(normalize_edge(u, v))
     return SpanningTree(range(g.n), chosen)
+
+
+def _walk(adj, u):
+    """{vertex: predecessor} over u's component of the forest `adj`
+    ({a: {b: owner}}), by depth-first search from u."""
+    prev = {u: None}
+    stack = [u]
+    while stack:
+        a = stack.pop()
+        for b in adj.get(a, ()):
+            if b not in prev:
+                prev[b] = a
+                stack.append(b)
+    return prev
+
+
+def _forest_path(adj, u, v):
+    """The vertex path from u to v in the forest `adj`, or None when they
+    lie in different components."""
+    prev = _walk(adj, u)
+    if v not in prev:
+        return None
+    path = [v]
+    while path[-1] != u:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
+def _reference_search(edges, pairs, adj, starts):
+    """Breadth-first exchange-graph search in which every pair (r, b) of a
+    hyperedge, r its lowest vertex, walks the forest from r: a pair whose
+    ends the walk does not connect ends the search."""
+    came_from = dict.fromkeys(starts)
+    queue = deque(came_from)
+    while queue:
+        eid = queue.popleft()
+        r, *rest = edges[eid]
+        for b in rest:
+            if pairs.get(eid) == (r, b):
+                continue
+            path = _forest_path(adj, r, b)
+            if path is None:
+                swap, step = {}, (eid, (r, b))
+                while step is not None:
+                    eid, pair = step
+                    swap[eid] = pair
+                    step = came_from[eid]
+                return swap, None
+            for a, c in zip(path, path[1:]):
+                owner = adj[a][c]
+                if owner not in came_from:
+                    came_from[owner] = (eid, (r, b))
+                    queue.append(owner)
+    return None, [eid for eid in came_from if eid in pairs]
+
+
+def reference_greedy(n, hyperedges):
+    """The hypertree greedy that searches from every hyperedge in ascending
+    id order: (its pair forest, in insertion order, and the parts of the
+    deficient partition that a last search from every unchosen hyperedge
+    reaches, as sorted lists ordered by minimum; None for a hypertree)."""
+    edges = [tuple(sorted(set(e))) for e in hyperedges]
+    pairs, adj = {}, {}
+    for eid in range(len(edges)):
+        if len(pairs) == n - 1:
+            break
+        swap, _ = _reference_search(edges, pairs, adj, [eid])
+        if swap is None:
+            continue
+        for e in swap.keys() & pairs.keys():
+            a, b = pairs[e]
+            del adj[a][b], adj[b][a]
+        for e, (a, b) in swap.items():
+            adj.setdefault(a, {})[b] = e
+            adj.setdefault(b, {})[a] = e
+        pairs.update(swap)
+    if len(pairs) == n - 1:
+        return pairs, None
+    _, reached = _reference_search(
+        edges, pairs, adj, [i for i in range(len(edges)) if i not in pairs]
+    )
+    reached_adj = {}
+    for i in reached:
+        a, b = pairs[i]
+        reached_adj.setdefault(a, {})[b] = i
+        reached_adj.setdefault(b, {})[a] = i
+    parts, seen = [], set()
+    for v in range(n):
+        if v not in seen:
+            part = sorted(_walk(reached_adj, v))
+            seen.update(part)
+            parts.append(part)
+    return pairs, parts

@@ -62,6 +62,20 @@ class TestKernelizeCmd:
         assert out_graph.read_text() == serialize_edge_list(star_graph(5))
         assert '"reductions": []' in out_trace.read_text()
 
+    @pytest.mark.parametrize("g, k, reason", [
+        (path_graph(4), 3, "no spanning tree has more than 2 internal vertices"),
+        (star_graph(9), 2, "the graph is covered by S and L, capping the "
+                           "internal count at 1"),
+    ])
+    def test_trivial_no_reason_on_stderr(self, tmp_path, capsys, g, k, reason):
+        # k > n - 2, and S ∪ L covering the star: the reason goes to stderr
+        # and stdout keeps its one line
+        f = write_graph(tmp_path, "g.gr", g)
+        code, out, err = run_cli(["kernelize", "--in", f, "--k", str(k)], capsys)
+        assert code == 0
+        assert out == "TRIVIAL-NO\n"
+        assert err == f"no: {reason}\n"
+
     def test_malformed_header(self, tmp_path, capsys):
         f = tmp_path / "bad.gr"
         f.write_text("pp 3 1\ne 0 1\n")

@@ -10,14 +10,25 @@ from mistkernel import (
     border,
     deficient_partition,
     greedy_hypertree,
+    kernelize,
     shrink_to_tree,
 )
+from mistkernel import hypermatroid, kernelizer
+from mistkernel.generate import generate
 from mistkernel.hypermatroid import Partition, _pair_forest
 from bruteforce import (
     brute_has_deficient_partition,
     brute_strong_hall,
     is_tree_edge_set,
+    reference_greedy,
 )
+
+# Hyperedge 1 can only take the pair (0, 1), which hyperedge 0 would pick
+# first; the hypertree exists only if hyperedge 0 gives that pair up.
+REPAIRING = [
+    [{0, 1, 2}, {0, 1}],
+    [{0, 1, 2, 3}, {0, 1}, {0, 1, 2}],
+]
 
 
 def random_hypergraph(rng, max_n=8, max_m=8):
@@ -117,13 +128,8 @@ class TestShrinkToTree:
         # through edge 0's pair
         assert 0 in mapping[0]
 
-    @pytest.mark.parametrize("edges", [
-        [{0, 1, 2}, {0, 1}],
-        [{0, 1, 2, 3}, {0, 1}, {0, 1, 2}],
-    ])
+    @pytest.mark.parametrize("edges", REPAIRING)
     def test_later_edge_repairs_an_earlier_one(self, edges):
-        # edge 1 can only take the pair (0, 1), which edge 0 would pick
-        # first; the hypertree exists only if edge 0 gives that pair up
         h = Hypergraph(len(edges[0]), edges)
         mapping = shrink_to_tree(h, greedy_hypertree(h))
         assert is_tree_edge_set(range(h.n), sorted(mapping.values()))
@@ -182,6 +188,85 @@ class TestShrinkToTree:
             checked += 1
             assert pairs == _pair_forest(h, sorted(pairs))[0]
             assert shrink_to_tree(h, pairs) == pairs
+
+
+def count_searches(monkeypatch):
+    """Record the result of every `_search` call from here on."""
+    results = []
+    search = hypermatroid._search
+
+    def counted(*args):
+        results.append(search(*args))
+        return results[-1]
+
+    monkeypatch.setattr(hypermatroid, "_search", counted)
+    return results
+
+
+class TestSearchOnlyWhereARepairingCanExist:
+    def test_same_forests_and_partitions_as_a_search_from_every_hyperedge(
+        self, monkeypatch
+    ):
+        searches = count_searches(monkeypatch)
+        rng = random.Random(61)
+        deficient = 0
+        for i in range(2000):
+            n = rng.randrange(1, 31)
+            widest = 2 if i % 2 else 6  # every other one mixes in 3-6 vertices
+            h = Hypergraph(n, [
+                rng.sample(range(n), rng.randrange(1, min(widest, n) + 1))
+                for _ in range(rng.randrange(0, 2 * n + 2))
+            ])
+            pairs, parts = reference_greedy(n, h.hyperedges)
+            assert list(_pair_forest(h, range(h.m))[0].items()) == list(pairs.items())
+            if n < 2:
+                continue
+            p = deficient_partition(h)
+            assert (p is None) == (parts is None)
+            if p is not None:
+                assert [sorted(q) for q in p.parts] == parts
+                deficient += 1
+        repairs = [swap for swap, _ in searches if swap is not None and len(swap) > 1]
+        assert 400 <= deficient <= 1600
+        assert len(repairs) >= 1000
+
+    def test_no_search_when_every_hyperedge_is_a_pair(self, monkeypatch):
+        # star-cluster n = 150, seed 1: each hypergraph find_sl builds has
+        # hyperedges of at most two vertices, so each one joins two
+        # components or closes a cycle, and the greedy never searches
+        searches = count_searches(monkeypatch)
+        runs = []
+        greedy = kernelizer.greedy_hypertree
+
+        def counted(h):
+            before = len(searches)
+            pairs = greedy(h)
+            runs.append((h, pairs, len(searches) - before))
+            return pairs
+
+        monkeypatch.setattr(kernelizer, "greedy_hypertree", counted)
+        kernelize(generate("star-cluster", 150, seed=1), 49)
+        assert all(len(e) <= 2 for h, _, _ in runs for e in h.hyperedges)
+        # pairs the greedy passed over; a greedy that searches from every
+        # hyperedge searches from each of them
+        passed_over = [
+            i
+            for h, pairs, _ in runs
+            if pairs is not None
+            for i in range(max(pairs))
+            if i not in pairs and len(h.hyperedges[i]) == 2
+        ]
+        assert passed_over
+        assert [count for _, _, count in runs] == [0] * len(runs)
+
+    @pytest.mark.parametrize("edges", REPAIRING)
+    def test_search_where_a_repairing_can_exist(self, monkeypatch, edges):
+        searches = count_searches(monkeypatch)
+        h = Hypergraph(len(edges[0]), edges)
+        pairs = greedy_hypertree(h)
+        assert len(searches) >= 1
+        assert pairs[1] == (0, 1)
+        assert pairs[0] != (0, 1)
 
 
 class TestBorder:
