@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 
-from .graph import Graph, InvariantError, PreconditionError, SpanningTree
+from .graph import Graph, InvariantError, PreconditionError, SpanningTree, _nogc
 from .kernelizer import KernelResult, SLCertificate, replay_reduction
 
 TRACE_FORMAT = "mist-trace-v2"
@@ -27,6 +27,7 @@ class FormatError(ValueError):
     """Malformed input file."""
 
 
+@_nogc
 def parse_edge_list(text: str) -> Graph:
     # each line split into its fields once; blank and comment lines dropped
     rows = (f for f in map(str.split, text.splitlines()) if f and f[0][0] != "#")

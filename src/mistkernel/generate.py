@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import random
 
-from .graph import Graph, PreconditionError, is_connected, normalize_edge
+from .graph import Graph, PreconditionError, _nogc, is_connected, normalize_edge
 
 FAMILIES = ("random-gnm", "tree-plus", "star-cluster")
 
@@ -58,6 +58,7 @@ def _sample_pairs(n: int, m: int, rng: random.Random, forbidden=frozenset()):
     return sorted(out)
 
 
+@_nogc
 def generate(family: str, n: int, m: int | None = None, seed: int = 0) -> Graph:
     """Build a connected instance from the named family, deterministically."""
     if family not in FAMILIES:

@@ -5,10 +5,18 @@ All structures are immutable after construction and every operation is a
 pure function, so values can be shared freely across threads.  Determinism
 is part of the contract: neighbor lists are kept sorted and every search
 visits vertices in ascending index order.
+
+Parsing, generation and kernelization pause the cyclic garbage collector
+while they run (`_nogc`).  The pause is process-wide, and a call restores
+only the state it changed: a thread that disables the collector while such
+a call runs in another thread can find it re-enabled when that call
+returns.  Values stay shareable across threads.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 from collections import Counter, deque
 from operator import countOf, lt
 
@@ -264,7 +272,7 @@ def internal_count(t: SpanningTree, subset=None) -> int:
 def _check_spans(g: Graph, t: SpanningTree) -> None:
     """PreconditionError unless t is a spanning tree of g: its vertices are
     0..n-1 and its edges are edges of g."""
-    if t.vertices != frozenset(range(g.n)):
+    if not (len(t.vertices) == g.n and t.vertices.issuperset(range(g.n))):
         raise PreconditionError("tree does not span the graph")
     if not t.edges <= g.edges:
         raise PreconditionError("tree has an edge that is not in the graph")
@@ -320,3 +328,27 @@ def _tree_path(adj: dict, u, v) -> list | None:
     while path[-1] != u:
         path.append(prev[path[-1]])
     return path[::-1]
+
+
+def _nogc(fn):
+    """Decorator: run `fn` with the cyclic garbage collector paused.
+
+    The functions it wraps build large containers that are all acyclic:
+    edge and adjacency tuples, per-vertex lists, DFS stack entries,
+    frozensets and dicts of ints.  Reference counting frees every one of
+    them, so a collection during the call only rescans live objects it can
+    never free.  A caller that has disabled the collector keeps it
+    disabled; otherwise it is enabled again however `fn` returns.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused

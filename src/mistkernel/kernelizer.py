@@ -22,6 +22,7 @@ from .graph import (
     _adjacency,
     _check_spans,
     _components,
+    _nogc,
     _tree_path,
     dfs_tree,
     internal_count,
@@ -302,6 +303,7 @@ def _unwind(g_pre: Graph, cert: SLCertificate, t: SpanningTree) -> SpanningTree:
 # The reduction loop
 
 
+@_nogc
 def kernelize(g: Graph, k: int) -> KernelResult:
     """Run the reduction loop; solve, kernelize, or answer no outright.
 

@@ -375,6 +375,17 @@ class TestRearrangeTree:
             with pytest.raises(PreconditionError):
                 rearrange_tree(g, t, cert)
 
+    def test_tree_with_a_vertex_off_the_graph_rejected(self):
+        # six vertices and edges of the right shape, but vertex 6 stands
+        # where the graph has 5; lift_solution checks the same way
+        g = double_star()
+        cert = find_sl(g, {2, 3, 4, 5})
+        t = SpanningTree([0, 1, 2, 3, 4, 6], [(0, 1), (0, 2), (0, 3), (1, 4), (1, 6)])
+        with pytest.raises(PreconditionError, match="^tree does not span the graph$"):
+            rearrange_tree(g, t, cert)
+        with pytest.raises(PreconditionError, match="^tree does not span the graph$"):
+            lift_solution(g, [], t)
+
     def test_random_monotonicity(self):
         rng = random.Random(37)
         done = 0
