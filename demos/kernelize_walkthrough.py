@@ -32,4 +32,4 @@ for step, cert in enumerate(result.trace, start=1):
 if result.outcome == "kernel":
     print(f"\nkernel: {result.graph.n} vertices, {result.graph.m} edges")
     print(f"adjusted target k' = {result.k_prime}")
-    print(f"size bound holds: {result.graph.n} <= 3k = {3 * k}")
+    print(f"size bound holds: {result.graph.n} <= 3k' = {3 * result.k_prime}")

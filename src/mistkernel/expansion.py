@@ -39,15 +39,14 @@ def _augment(adj: dict, left_order) -> dict:
     """Kuhn's augmenting-path matching.
 
     `adj` maps each left vertex to an ascending tuple of right vertices.
-    Left vertices are scanned in the given order; returns {left: right}.
+    Distinct left vertices are scanned in the given order, and each
+    augmentation newly matches only its own root; returns {left: right}.
     The depth-first search for an augmenting path keeps an explicit stack,
     so path length is not bounded by the recursion limit.
     """
     match_left: dict = {}
     match_right: dict = {}
     for root in left_order:
-        if root in match_left:
-            continue
         seen = set()
         # stack[i] is a left vertex with the iterator over its remaining
         # neighbors; path[i] is the right vertex stack[i] currently tries.

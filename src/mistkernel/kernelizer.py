@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .expansion import find_expansion_2
 from .graph import (
@@ -21,7 +22,6 @@ from .graph import (
     SpanningTree,
     _adjacency,
     _check_spans,
-    _components,
     _nogc,
     _tree_path,
     dfs_tree,
@@ -282,7 +282,7 @@ def _unwind(g_pre: Graph, cert: SLCertificate, t: SpanningTree) -> SpanningTree:
     for a, b in t.edges:
         if v_s in (a, b):
             vs_neighbors.append(b if a == v_s else a)
-        elif v_l not in (a, b):
+        else:  # v_L's only edge is (v_S, v_L)
             edges.add(normalize_edge(inv[a], inv[b]))
     if v_l not in vs_neighbors:
         raise InvariantError("pendant vertex is detached from v_S in the tree")
@@ -375,23 +375,27 @@ def rearrange_tree(g: Graph, t: SpanningTree, cert: SLCertificate) -> SpanningTr
     tree.  The result keeps at least as many internal vertices as `t`,
     makes every S-vertex internal, and leaves exactly |S| - 1 L-vertices
     internal.
+
+    The separation is one pass: for each S-vertex v and each S-vertex w > v,
+    both ascending, a forest path from v to w loses its first edge.  These
+    are the cuts of the fixpoint that takes the lowest S-vertex v sharing a
+    component and cuts the first edge toward the lowest S-vertex v reaches.
+    Cuts only split components, so the fixpoint finishes v before any
+    higher S-vertex, and the S-vertices v reaches only shrink, so the next
+    one it cuts toward is the next w > v that v still reaches.
     """
     validate_certificate(g, cert)
     _check_spans(g, t)
     s, l = cert.s, cert.l
     forest = {e for e in t.edges if e[0] not in l and e[1] not in l}
-    while True:
-        comp = _components(range(g.n), forest)
-        pair = None
-        for v in sorted(s):
-            mates = [w for w in s if w != v and comp[w] == comp[v]]
-            if mates:
-                pair = (v, min(mates))
-                break
-        if pair is None:
-            break
-        path = _tree_path(_adjacency(forest), *pair)
-        forest.remove(normalize_edge(path[0], path[1]))
+    adj = _adjacency(forest)
+    for v, w in combinations(sorted(s), 2):
+        path = _tree_path(adj, v, w)
+        if path is not None:
+            a, b = path[:2]
+            forest.remove(normalize_edge(a, b))
+            adj[a].remove(b)
+            adj[b].remove(a)
     try:
         out = SpanningTree(range(g.n), forest | cert.tree.edges)
     except PreconditionError:
@@ -401,4 +405,3 @@ def rearrange_tree(g: Graph, t: SpanningTree, cert: SLCertificate) -> SpanningTr
     if internal_count(out) < internal_count(t):
         raise InvariantError("rearrangement lost internal vertices")
     return out
-

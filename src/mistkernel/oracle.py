@@ -236,11 +236,11 @@ def _branch_and_bound(g: Graph, need: int) -> SpanningTree | None:
     they form a spanning tree: the edges never run out before a tree is
     complete.
 
-    The bound: an undecided edge can still raise a degree, so a vertex
-    whose chosen degree plus undecided incident edges is below 2 ends up a
-    leaf.  Including an edge leaves that sum unchanged and excluding one
-    lowers it at both ends, so the count of vertices where it is at least 2
-    moves only on exclusion.  A branch whose count is below `need` is cut.
+    The bound: `live[v]` keeps a bit per edge of v not excluded, and v ends
+    up a leaf when fewer than 2 remain.  An inclusion keeps the bits and an
+    exclusion drops one at each end, so the count of masks with at least 2
+    bits moves only on exclusion.  A branch whose count is below `need` is
+    cut.
 
     The leaf-count cut: a tree has 2 + sum(max(0, deg - 2)) leaves and
     chosen degrees only grow, so a branch whose chosen degrees exceed 2 by
@@ -250,7 +250,6 @@ def _branch_and_bound(g: Graph, need: int) -> SpanningTree | None:
     """
     edges = sorted(g.edges)
     n = g.n
-    room = [g.degree(v) for v in range(n)]  # chosen degree + undecided edges
     deg = [0] * n  # chosen degree
 
     live = [0] * n  # live[v]: v's neighbours over the edges not excluded so far
@@ -295,21 +294,18 @@ def _branch_and_bound(g: Graph, need: int) -> SpanningTree | None:
             chosen.pop()
             if found is not None:
                 return found
-        room[u] -= 1
-        room[v] -= 1
         live[u] ^= 1 << v
         live[v] ^= 1 << u
         found = None
         # Leaving out an edge inside a chosen component keeps what can connect.
         if ru == rv or reaches(u, v):
-            found = rec(i + 1, parent, chosen, bound - (room[u] == 1) - (room[v] == 1), excess)
+            lost = (live[u].bit_count() == 1) + (live[v].bit_count() == 1)
+            found = rec(i + 1, parent, chosen, bound - lost, excess)
         live[u] ^= 1 << v
         live[v] ^= 1 << u
-        room[u] += 1
-        room[v] += 1
         return found
 
-    return rec(0, list(range(n)), [], sum(1 for r in room if r >= 2), 0)
+    return rec(0, list(range(n)), [], sum(1 for b in live if b.bit_count() >= 2), 0)
 
 
 def opt_internal(g: Graph, at_least: int) -> SpanningTree | None:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here is definitional enumeration, except `reference_greedy`,
-the hypertree greedy without shortcuts; none of it shares code with the
+the hypertree greedy without shortcuts, and `reference_rearrange`, the
+tree rearrangement as a fixpoint; none of it shares code with the
 algorithms under test.
 """
 
@@ -267,3 +268,28 @@ def reference_greedy(n, hyperedges):
             seen.update(part)
             parts.append(part)
     return pairs, parts
+
+
+def reference_rearrange(t: SpanningTree, cert):
+    """The tree rearrangement as a fixpoint: drop t's edges at L, then, while
+    some S-vertex shares a forest component with another, take the lowest
+    such v and cut the first edge of its path to the lowest S-vertex in its
+    component.  Returns (the forest plus the certificate tree's edges, the
+    cuts as (v, edge) in order)."""
+    forest = {e for e in t.edges if cert.l.isdisjoint(e)}
+    cuts = []
+    while True:
+        adj = {}
+        for a, b in forest:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        for v in sorted(cert.s):
+            mates = sorted(w for w in _walk(adj, v) if w in cert.s and w != v)
+            if mates:
+                break
+        else:
+            return forest | cert.tree.edges, cuts
+        path = _forest_path(adj, v, mates[0])
+        e = normalize_edge(path[0], path[1])
+        forest.remove(e)
+        cuts.append((v, e))

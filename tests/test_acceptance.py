@@ -39,6 +39,7 @@ from bruteforce import (
     random_spanning_tree,
     verify_expansion,
 )
+from graphs import cluster_graph
 
 
 @contextmanager
@@ -230,25 +231,13 @@ def test_criterion_5_certificate_suite(large_runs, small_runs):
         assert checked > 0
 
 
-def _cluster_graph(rng, max_n):
-    n = rng.randrange(6, max_n + 1)
-    hubs = max(1, n // 4)
-    edges = set()
-    for h in range(1, hubs):
-        edges.add((rng.randrange(h), h))
-    for v in range(hubs, n):
-        edges.add((rng.randrange(hubs), v))
-        if hubs > 1 and rng.random() < 0.5:
-            edges.add((rng.randrange(hubs), v))
-    return Graph(n, edges), frozenset(range(hubs, n))
-
-
 def test_criterion_6_rearrange_monotone():
     with scorecard(6, "tree rearrangement never loses internals"):
         rng = random.Random(6006)
         done = 0
         while done < 100:
-            g, ind = _cluster_graph(rng, 10)
+            g = cluster_graph(rng, 10)
+            ind = frozenset(range(max(1, g.n // 4), g.n))
             if 3 * len(ind) < 2 * g.n:
                 continue
             cert = find_sl(g, ind)

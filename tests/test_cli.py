@@ -9,6 +9,7 @@ import pytest
 from mistkernel import Graph, InvariantError, SpanningTree, internal_count, is_connected
 from mistkernel.cli import EXIT_INTERNAL, EXIT_PIPE, EXIT_RESOURCE, main
 from mistkernel.fileformats import parse_edge_list, serialize_edge_list
+from graphs import path_graph, star_graph, star_with_tail
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,19 +24,6 @@ def write_graph(tmp_path, name, g):
     p = tmp_path / name
     p.write_text(serialize_edge_list(g))
     return str(p)
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def star_graph(m):
-    return Graph(m + 1, [(0, i) for i in range(1, m + 1)])
-
-
-def star_with_tail():
-    # hub 0 with leaves 1..9 plus a pendant 10 hanging off leaf 1
-    return Graph(11, [(0, i) for i in range(1, 10)] + [(1, 10)])
 
 
 class TestKernelizeCmd:

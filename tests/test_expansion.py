@@ -5,8 +5,9 @@ import random
 import pytest
 
 import mistkernel.expansion
-from mistkernel import Graph, PreconditionError, find_expansion_2
-from bruteforce import verify_expansion
+from mistkernel import ExpansionPair, Graph, PreconditionError, find_expansion_2
+from mistkernel.expansion import _augment
+from bruteforce import brute_max_matching_size, verify_expansion
 
 
 def bip(nx, ny, pairs):
@@ -28,6 +29,19 @@ class TestVerifyExpansion:
         # y=4 also sees x=1, which is outside X'
         g, x, y = bip(2, 3, [(0, 2), (0, 3), (0, 4), (1, 4)])
         assert not verify_expansion(g, x, y, {0}, {2, 3, 4}, 2)
+
+
+class TestExpansionPair:
+    def test_sides_must_be_nonempty(self):
+        for x, y in (([], [1, 2]), ([0], [])):
+            with pytest.raises(
+                PreconditionError, match="^expansion pair sides must be nonempty$"
+            ):
+                ExpansionPair(x, y, {})
+
+    def test_repr(self):
+        p = ExpansionPair([0], [2, 1], {0: (1, 2)})
+        assert repr(p) == "ExpansionPair(X'=[0], Y'=[1, 2])"
 
 
 class TestFindExpansion2:
@@ -201,3 +215,56 @@ class TestRandomInstances:
             violators += p.x_prime != set(x)
             assert len(calls) == 1
         assert violators >= 30
+
+
+class TestMatching:
+    def test_k22(self):
+        assert len(_augment({0: (2, 3), 1: (2, 3)}, [0, 1])) == 2
+
+    def test_empty(self):
+        assert len(_augment({0: ()}, [0])) == 0
+
+    def test_path_three(self):
+        assert len(_augment({1: (0, 2)}, [1])) == 1
+
+    def test_against_enumeration(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            nx, ny = rng.randrange(1, 6), rng.randrange(1, 7)
+            pairs = {
+                (x, nx + y)
+                for x in range(nx)
+                for y in range(ny)
+                if rng.random() < 0.4
+            }
+            adj = {x: tuple(sorted(y for a, y in pairs if a == x)) for x in range(nx)}
+            matching = _augment(adj, range(nx))
+            assert set(matching.items()) <= pairs
+            assert len(set(matching.values())) == len(matching)
+            assert len(matching) == brute_max_matching_size(pairs)
+
+    def test_long_augmenting_path(self):
+        # x_i ~ {y_i, y_{i+1}} matches x_i to y_i; the last left vertex sees
+        # only y_0, so its one augmenting path runs through the whole chain.
+        m = 3000
+        ys = range(m + 1, 2 * m + 2)
+        adj = {i: (ys[i], ys[i + 1]) for i in range(m)}
+        adj[m] = (ys[0],)
+        matching = _augment(adj, range(m + 1))
+        assert len(matching) == m + 1
+        assert len(set(matching.values())) == m + 1
+        assert all(y in adj[x] for x, y in matching.items())
+
+
+class TestSaturatingMatching:
+    def test_k23_small_side(self):
+        adj = {x: (2, 3, 4) for x in (0, 1)}
+        assert len(_augment(adj, [0, 1])) == 2
+
+    def test_one_x_two_y(self):
+        # matching the two-vertex side {1, 2} into {0} cannot saturate it
+        assert len(_augment({1: (0,), 2: (0,)}, [1, 2])) == 1
+
+    def test_perfect(self):
+        assert len(_augment({0: (2,), 1: (3,)}, [0, 1])) == 2
+        assert len(_augment({2: (0,), 3: (1,)}, [2, 3])) == 2

@@ -11,11 +11,7 @@ from mistkernel.fileformats import (
     trace_to_json,
     verify_trace,
 )
-
-
-def star_with_tail():
-    # hub 0 with leaves 1..9 plus a pendant 10 hanging off leaf 1
-    return Graph(11, [(0, i) for i in range(1, 10)] + [(1, 10)])
+from graphs import star_with_tail
 
 
 def two_star_chain(c):
@@ -49,6 +45,19 @@ class TestEdgeList:
     def test_bad_header(self):
         with pytest.raises(FormatError):
             parse_edge_list("q 3 2\ne 0 1\ne 1 2\n")
+
+    def test_comments_only_is_empty(self):
+        with pytest.raises(FormatError, match="^empty document$"):
+            parse_edge_list("# a comment\n\n# another\n")
+
+    def test_header_counts_must_be_integers(self):
+        with pytest.raises(FormatError, match="^bad header line: 'p three 2'$"):
+            parse_edge_list("p three 2\ne 0 1\ne 1 2\n")
+
+    def test_negative_header_counts_rejected(self):
+        for head in ("p -1 0", "p 3 -2"):
+            with pytest.raises(FormatError, match="^negative counts in header$"):
+                parse_edge_list(head + "\n")
 
     def test_edge_count_mismatch(self):
         with pytest.raises(FormatError):
@@ -166,6 +175,10 @@ class TestTraceDocument:
             trace_from_json("{not json")
         with pytest.raises(FormatError):
             trace_from_json(json.dumps({"format": "other"}))
+
+    def test_json_array_rejected(self):
+        with pytest.raises(FormatError, match="^not a recognized trace document$"):
+            trace_from_json("[1, 2]")
 
     def test_malformed_fields(self):
         doc = json.loads(trace_to_json(kernelize(star_with_tail(), 3), 3))

@@ -12,25 +12,21 @@ from mistkernel import (
     internal_count,
     is_connected,
 )
-from mistkernel.expansion import _augment
 from mistkernel.generate import generate
 from mistkernel.graph import _components
-from bruteforce import brute_max_matching_size, is_tree_edge_set
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+from bruteforce import is_tree_edge_set
+from graphs import path_graph, star_graph
 
 
 def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def star_graph(m):
-    return Graph(m + 1, [(0, i) for i in range(1, m + 1)])
-
-
 class TestGraphBasics:
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(PreconditionError, match="^vertex count must be nonnegative$"):
+            Graph(-1)
+
     def test_rejects_self_loop(self):
         with pytest.raises(PreconditionError, match=r"^self-loop at vertex 1$"):
             Graph(3, [(1, 1)])
@@ -161,6 +157,11 @@ class TestDfsTree:
         with pytest.raises(PreconditionError, match="connected"):
             dfs_tree(Graph(4, [(0, 1), (2, 3)]), 0)
 
+    def test_root_out_of_range_rejected(self):
+        for root in (-1, 5):
+            with pytest.raises(PreconditionError, match=rf"^root {root} out of range$"):
+                dfs_tree(path_graph(5), root)
+
     def test_always_a_spanning_tree(self):
         rng = random.Random(7)
         for _ in range(30):
@@ -280,57 +281,35 @@ class TestInternalCount:
             assert internal_count(t) == n - len(t.leaves())
 
 
-class TestMatching:
-    def test_k22(self):
-        assert len(_augment({0: (2, 3), 1: (2, 3)}, [0, 1])) == 2
+class TestValues:
+    def test_equal_values_hash_alike(self):
+        assert hash(path_graph(4)) == hash(Graph(4, [(2, 3), (1, 2), (0, 1)]))
+        t = dfs_tree(path_graph(4), 0)
+        assert hash(t) == hash(SpanningTree(range(4), [(2, 3), (1, 2), (0, 1)]))
 
-    def test_empty(self):
-        assert len(_augment({0: ()}, [0])) == 0
+    def test_reprs_give_the_sizes(self):
+        assert repr(path_graph(4)) == "Graph(n=4, m=3)"
+        assert repr(dfs_tree(path_graph(4), 0)) == "SpanningTree(|V|=4)"
 
-    def test_path_three(self):
-        assert len(_augment({1: (0, 2)}, [1])) == 1
-
-    def test_against_enumeration(self):
-        rng = random.Random(5)
-        for _ in range(60):
-            nx, ny = rng.randrange(1, 6), rng.randrange(1, 7)
-            pairs = {
-                (x, nx + y)
-                for x in range(nx)
-                for y in range(ny)
-                if rng.random() < 0.4
-            }
-            adj = {x: tuple(sorted(y for a, y in pairs if a == x)) for x in range(nx)}
-            matching = _augment(adj, range(nx))
-            assert set(matching.items()) <= pairs
-            assert len(set(matching.values())) == len(matching)
-            assert len(matching) == brute_max_matching_size(pairs)
-
-    def test_long_augmenting_path(self):
-        # x_i ~ {y_i, y_{i+1}} matches x_i to y_i; the last left vertex sees
-        # only y_0, so its one augmenting path runs through the whole chain.
-        m = 3000
-        ys = range(m + 1, 2 * m + 2)
-        adj = {i: (ys[i], ys[i + 1]) for i in range(m)}
-        adj[m] = (ys[0],)
-        matching = _augment(adj, range(m + 1))
-        assert len(matching) == m + 1
-        assert len(set(matching.values())) == m + 1
-        assert all(y in adj[x] for x, y in matching.items())
+    def test_internal_vertices(self):
+        assert dfs_tree(path_graph(4), 0).internal() == frozenset({1, 2})
+        assert dfs_tree(star_graph(3), 1).internal() == frozenset({0})
 
 
-class TestSaturatingMatching:
-    def test_k23_small_side(self):
-        adj = {x: (2, 3, 4) for x in (0, 1)}
-        assert len(_augment(adj, [0, 1])) == 2
+class TestGenerateInputs:
+    def test_unknown_family_rejected(self):
+        with pytest.raises(PreconditionError, match="^unknown family 'grid'$"):
+            generate("grid", 5)
 
-    def test_one_x_two_y(self):
-        # matching the two-vertex side {1, 2} into {0} cannot saturate it
-        assert len(_augment({1: (0,), 2: (0,)}, [1, 2])) == 1
+    def test_star_cluster_needs_three_vertices(self):
+        with pytest.raises(PreconditionError, match="^star-cluster needs n >= 3$"):
+            generate("star-cluster", 2)
 
-    def test_perfect(self):
-        assert len(_augment({0: (2,), 1: (3,)}, [0, 1])) == 2
-        assert len(_augment({2: (0,), 3: (1,)}, [2, 3])) == 2
+    def test_star_cluster_takes_no_edge_count(self):
+        with pytest.raises(
+            PreconditionError, match="^star-cluster does not take an edge count$"
+        ):
+            generate("star-cluster", 10, m=12)
 
 
 def test_public_names_resolve():

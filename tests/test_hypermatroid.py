@@ -269,6 +269,45 @@ class TestSearchOnlyWhereARepairingCanExist:
         assert pairs[0] != (0, 1)
 
 
+class TestInputChecks:
+    def test_hypergraph_rejects_bad_input(self):
+        with pytest.raises(PreconditionError, match="^vertex count must be nonnegative$"):
+            Hypergraph(-1, [])
+        with pytest.raises(PreconditionError, match="^hyperedges must be nonempty$"):
+            Hypergraph(3, [{0, 1}, set()])
+        with pytest.raises(PreconditionError, match=r"^hyperedge \[1, 3\] out of range$"):
+            Hypergraph(3, [{0, 1}, {3, 1}])
+
+    def test_partition_rejects_bad_parts(self):
+        with pytest.raises(PreconditionError, match="^partition parts must be nonempty$"):
+            Partition(2, [{0, 1}, set()])
+        with pytest.raises(PreconditionError, match="^partition parts overlap$"):
+            Partition(3, [{0, 1}, {1, 2}])
+        with pytest.raises(PreconditionError, match="^parts do not cover the vertex set$"):
+            Partition(3, [{0}, {2}])
+
+    def test_border_needs_the_same_vertex_set(self):
+        h = Hypergraph(3, [{0, 1}, {1, 2}])
+        with pytest.raises(
+            PreconditionError, match="^partition is over a different vertex set$"
+        ):
+            border(h, Partition(2, [{0}, {1}]))
+
+    def test_greedy_needs_a_vertex(self):
+        with pytest.raises(
+            PreconditionError, match="^hypergraph must have at least one vertex$"
+        ):
+            greedy_hypertree(Hypergraph(0, []))
+
+    def test_deficient_partition_needs_two_vertices(self):
+        with pytest.raises(PreconditionError, match="^need at least two vertices$"):
+            deficient_partition(Hypergraph(1, [{0}]))
+
+    def test_reprs(self):
+        assert repr(Hypergraph(3, [{0, 1}, {1, 2}])) == "Hypergraph(n=3, m=2)"
+        assert repr(Partition(3, [{2}, {1, 0}])) == "Partition([[0, 1], [2]])"
+
+
 class TestBorder:
     def test_singletons(self):
         h = Hypergraph(3, [{0, 1}, {2}, {0, 1, 2}])

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -28,30 +29,14 @@ from bruteforce import (
     all_spanning_trees,
     brute_opt_internal,
     random_spanning_tree,
+    reference_rearrange,
 )
-
-
-def star_graph(m):
-    return Graph(m + 1, [(0, i) for i in range(1, m + 1)])
+from graphs import cluster_graph, star_graph
 
 
 def double_star():
     # centers 0, 1; leaves 2, 3 on 0; leaves 4, 5 on 1
     return Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-
-
-def cluster_graph(rng, max_n=12):
-    """Connected graph with a large independent set: few hubs, many leaves."""
-    n = rng.randrange(6, max_n + 1)
-    hubs = max(1, n // 4)
-    edges = set()
-    for h in range(1, hubs):
-        edges.add((rng.randrange(h), h))
-    for v in range(hubs, n):
-        edges.add((rng.randrange(hubs), v))
-        if hubs > 1 and rng.random() < 0.5:
-            edges.add((rng.randrange(hubs), v))
-    return Graph(n, sorted(set((min(u, v), max(u, v)) for u, v in edges)))
 
 
 class TestFindSl:
@@ -112,6 +97,15 @@ class TestFindSl:
         for ind in ({1, 2, 3, 4, 9}, {-1, 1, 2, 3, 4}):
             with pytest.raises(PreconditionError, match=r"outside 0\.\.5"):
                 find_sl(g, ind)
+
+    def test_too_few_vertices_rejected(self):
+        with pytest.raises(PreconditionError, match="^need at least 3 vertices$"):
+            find_sl(Graph(2, [(0, 1)]), {1})
+
+    def test_disconnected_graph_rejected(self):
+        g = Graph(6, [(0, 1), (0, 2), (3, 4), (3, 5)])
+        with pytest.raises(PreconditionError, match="^graph must be connected$"):
+            find_sl(g, {1, 2, 4, 5})
 
     def test_dependent_set_rejected(self):
         g = star_graph(5)
@@ -207,8 +201,42 @@ class TestValidateCertificate:
         with pytest.raises(InvariantError, match="N\\(L\\) differs from S"):
             validate_certificate(g, cert)
 
+    def test_tree_must_span_s_and_l(self):
+        g = double_star()
+        tree = SpanningTree({0, 2}, [(0, 2)])
+        cert = SLCertificate(frozenset({0}), frozenset({2, 3}), tree)
+        with pytest.raises(InvariantError, match="^tree does not span S ∪ L$"):
+            validate_certificate(g, cert)
+
+    def test_s_vertex_leaf_rejected(self):
+        # K(2, 3) with S = {0, 1}: the tree hangs 1 on L-vertex 4 alone
+        g = Graph(5, [(s, l) for s in (0, 1) for l in (2, 3, 4)])
+        tree = SpanningTree(range(5), [(0, 2), (0, 3), (0, 4), (1, 4)])
+        cert = SLCertificate(frozenset({0, 1}), frozenset({2, 3, 4}), tree)
+        with pytest.raises(
+            InvariantError, match="^an S-vertex is a leaf of the certificate tree$"
+        ):
+            validate_certificate(g, cert)
+
+    def test_internal_l_count_checked(self):
+        # K(3, 4) with S = {0, 1, 2}: L-vertex 3 joins all of S, so only one
+        # L-vertex is internal where |S| - 1 = 2 must be
+        g = Graph(7, [(s, l) for s in (0, 1, 2) for l in (3, 4, 5, 6)])
+        tree = SpanningTree(range(7), [(0, 3), (1, 3), (2, 3), (0, 4), (1, 5), (2, 6)])
+        cert = SLCertificate(frozenset({0, 1, 2}), frozenset({3, 4, 5, 6}), tree)
+        with pytest.raises(
+            InvariantError, match=r"^internal L-vertex count differs from \|S\| - 1$"
+        ):
+            validate_certificate(g, cert)
+
 
 class TestKernelize:
+    def test_empty_graph_rejected(self):
+        with pytest.raises(
+            PreconditionError, match="^graph must have at least one vertex$"
+        ):
+            kernelize(Graph(0), 0)
+
     def test_path_solved(self):
         g = Graph(10, [(i, i + 1) for i in range(9)])
         res = kernelize(g, 8)
@@ -420,6 +448,22 @@ class TestRearrangeTree:
         assert digest.hexdigest() == (
             "914cc247fbca904206c60c8c98e4deb366c65a58ead9931da04f456b0007a2bb"
         )
+
+    def test_matches_the_fixpoint(self):
+        # star-cluster graphs up to n = 119 with certificates from the DFS
+        # tree's non-root leaves, as kernelize draws them; many triples make
+        # the fixpoint cut two or more edges from one S-vertex
+        rng = random.Random(35)
+        repeated = 0
+        for _ in range(1500):
+            n = rng.randrange(6, 120)
+            g = generate("star-cluster", n, seed=rng.randrange(10**6))
+            t = random_spanning_tree(g, rng)
+            cert = find_sl(g, dfs_tree(g, 0).leaves() - {0})
+            edges, cuts = reference_rearrange(t, cert)
+            assert rearrange_tree(g, t, cert).edges == edges
+            repeated += max(Counter(v for v, _ in cuts).values(), default=0) >= 2
+        assert repeated >= 500
 
 
 class TestRule3AtScale:

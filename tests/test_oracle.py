@@ -18,14 +18,7 @@ from mistkernel import (
 )
 from mistkernel.generate import generate
 from bruteforce import brute_hamiltonian_path, brute_opt_internal
-
-
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def star_graph(m):
-    return Graph(m + 1, [(0, i) for i in range(1, m + 1)])
+from graphs import path_graph, star_graph
 
 
 def complete_bipartite(a, b):
