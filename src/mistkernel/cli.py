@@ -5,8 +5,10 @@ Subcommands: kernelize, solve, verify, gen.  Exit codes: 0 success/yes,
 (a failed consistency check, which is a bug; `verify` reports a trace
 that fails one as FAIL with exit 1 instead), 5 resource limit (valid
 input too large to finish, such as a kernel beyond the exact oracle's
-size guard whose target its bounds leave open), 141 (128 + SIGPIPE) when
-stdout closes before the output is written, as in `mist kernelize ... | head -1`.
+size guard whose target its bounds leave open, or a run that runs out of
+memory, reported as `resource limit: out of memory`), 141 (128 + SIGPIPE)
+when stdout closes before the output is written, as in
+`mist kernelize ... | head -1`.
 """
 
 from __future__ import annotations
@@ -165,6 +167,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except BrokenPipeError:
         # The reader has gone.  Point stdout at devnull, so that flushing

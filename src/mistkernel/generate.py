@@ -11,7 +11,14 @@ from __future__ import annotations
 import heapq
 import random
 
-from .graph import Graph, PreconditionError, _nogc, is_connected, normalize_edge
+from .graph import (
+    Graph,
+    InvariantError,
+    PreconditionError,
+    _nogc,
+    is_connected,
+    normalize_edge,
+)
 
 FAMILIES = ("random-gnm", "tree-plus", "star-cluster")
 
@@ -44,8 +51,8 @@ def _sample_pairs(n: int, m: int, rng: random.Random, forbidden=frozenset()):
     """m distinct vertex pairs outside `forbidden`, by rejection sampling."""
     out = set()
     total = n * (n - 1) // 2 - len(forbidden)
-    if m > total:
-        raise PreconditionError("requested more edges than the graph can hold")
+    if m > total:  # every caller bounds m first, so this is a bug
+        raise InvariantError("requested more edges than the graph can hold")
     while len(out) < m:
         u = rng.randrange(n)
         v = rng.randrange(n)
@@ -97,6 +104,7 @@ def generate(family: str, n: int, m: int | None = None, seed: int = 0) -> Graph:
         for h in hubs:
             edges.add(normalize_edge(v, h))
     g = Graph(n, sorted(edges))
+    # a tree over the centers, and every other vertex on a center
     if not is_connected(g):
-        raise PreconditionError("star-cluster construction came out disconnected")
+        raise InvariantError("star-cluster construction came out disconnected")
     return g

@@ -256,47 +256,47 @@ def replay_reduction(g: Graph, cert: SLCertificate) -> Graph:
 def lift_solution(g_original: Graph, trace, t: SpanningTree) -> SpanningTree:
     """Lift a spanning tree of the final reduced graph back to the original.
 
-    Certificates are unwound last-to-first: drop the two fresh vertices,
-    splice in the certificate's B(S, L) tree, and reattach each former
-    tree-neighbor of v_S through its lowest-index S-neighbor.  The lifted
-    tree gains at least delta_k internal vertices per reduction.
+    The replay validates each certificate and keeps only its graph's size
+    and each u in N(S) \\ L's lowest S-neighbour, holding one graph at a
+    time.  Unwinding last-to-first drops the two fresh vertices, splices in
+    the B(S, L) tree and hangs each tree-neighbour of v_S on its recorded
+    S-neighbour, gaining at least delta_k internal vertices per reduction.
     """
-    graphs = [g_original]
+    records = []
+    g = g_original
     for cert in trace:
-        graphs.append(replay_reduction(graphs[-1], cert))
-    _check_spans(graphs[-1], t)
+        reduced = replay_reduction(g, cert)
+        removed = cert.s | cert.l
+        # S descending, so each u is left with its lowest S-neighbour
+        s_desc = sorted(cert.s, reverse=True)
+        attach = {u: v for v in s_desc for u in g.neighbors(v) if u not in removed}
+        records.append((cert, g.n, attach))
+        g = reduced
+    _check_spans(g, t)
     cur = t
-    for cert, g_pre in zip(reversed(list(trace)), reversed(graphs[:-1])):
+    for cert, n, attach in reversed(records):
         before = internal_count(cur)
-        cur = _unwind(g_pre, cert, cur)
+        cur = _unwind(n, attach, cert, cur)
         if internal_count(cur) < before + cert.delta_k:
             raise InvariantError("lift lost internal vertices")
     return cur
 
 
-def _unwind(g_pre: Graph, cert: SLCertificate, t: SpanningTree) -> SpanningTree:
-    inv = _survivors(g_pre.n, cert)  # reduced id -> id in g_pre
-    v_s, v_l = len(inv), len(inv) + 1
-    vs_neighbors = []
-    edges = set()
-    for a, b in t.edges:
-        if v_s in (a, b):
-            vs_neighbors.append(b if a == v_s else a)
-        else:  # v_L's only edge is (v_S, v_L)
-            edges.add(normalize_edge(inv[a], inv[b]))
-    if v_l not in vs_neighbors:
+def _unwind(n: int, attach: dict, cert: SLCertificate, t: SpanningTree) -> SpanningTree:
+    inv = _survivors(n, cert)  # reduced id -> id before the reduction
+    v_s = len(inv)
+    if (v_s, v_s + 1) not in t.edges:
         raise InvariantError("pendant vertex is detached from v_S in the tree")
-    edges |= cert.tree.edges
-    for u_new in vs_neighbors:
-        if u_new == v_l:
-            continue
-        u_old = inv[u_new]
-        # neighbor lists ascend, so this is u_old's lowest S-neighbor
-        attach = next((v for v in g_pre.neighbors(u_old) if v in cert.s), None)
-        if attach is None:
-            raise InvariantError(f"no edge from {u_old} back into S")
-        edges.add(normalize_edge(u_old, attach))
-    return SpanningTree(range(g_pre.n), edges)
+    edges = set(cert.tree.edges)
+    for a, b in t.edges:  # canonical; v_S and v_L are the two highest ids
+        if b < v_s:  # inv ascends, so the edge stays canonical
+            edges.add((inv[a], inv[b]))
+        elif b == v_s:
+            u = inv[a]
+            if u not in attach:
+                raise InvariantError(f"no edge from {u} back into S")
+            edges.add(normalize_edge(u, attach[u]))
+    return SpanningTree(range(n), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from mistkernel.generate import generate
 from mistkernel.graph import Graph
 
 
@@ -31,3 +32,15 @@ def cluster_graph(rng, max_n=12):
         if hubs > 1 and rng.random() < 0.5:
             edges.add((rng.randrange(hubs), v))
     return Graph(n, edges)
+
+
+def chained_clusters(c):
+    """c copies of star-cluster n = 300, copy i with seed i on the vertices
+    300i .. 300i + 299, and vertex 300i joined to vertex 0.  At the target
+    n/3 - 1 Rule 3 fires round after round: 18 times at c = 8."""
+    edges = [(0, 300 * i) for i in range(1, c)]
+    for i in range(c):
+        off = 300 * i
+        cluster = generate("star-cluster", 300, seed=i)
+        edges += [(u + off, v + off) for u, v in cluster.edges]
+    return Graph(300 * c, edges)

@@ -400,6 +400,19 @@ class TestInternalError:
         assert out == ""
 
 
+class TestOutOfMemory:
+    def test_memory_error_is_a_resource_limit(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("mistkernel.cli.parse_edge_list", exhausted)
+        f = write_graph(tmp_path, "p6.gr", path_graph(6))
+        code, out, err = run_cli(["solve", "--in", f, "--k", "2"], capsys)
+        assert code == EXIT_RESOURCE == 5
+        assert err == "resource limit: out of memory\n"
+        assert out == ""
+
+
 class TestGenCmd:
     def test_gnm_deterministic(self, capsys):
         code1, out1, _ = run_cli(

@@ -6,13 +6,14 @@ import pytest
 import mistkernel
 from mistkernel import (
     Graph,
+    InvariantError,
     PreconditionError,
     SpanningTree,
     dfs_tree,
     internal_count,
     is_connected,
 )
-from mistkernel.generate import generate
+from mistkernel.generate import _sample_pairs, generate
 from mistkernel.graph import _components
 from bruteforce import is_tree_edge_set
 from graphs import path_graph, star_graph
@@ -310,6 +311,20 @@ class TestGenerateInputs:
             PreconditionError, match="^star-cluster does not take an edge count$"
         ):
             generate("star-cluster", 10, m=12)
+
+    def test_more_pairs_than_the_graph_holds_is_a_bug(self):
+        # both families bound m before they sample, so no input gets here
+        with pytest.raises(
+            InvariantError, match="^requested more edges than the graph can hold$"
+        ):
+            _sample_pairs(4, 5, random.Random(0), frozenset({(0, 1), (2, 3)}))
+
+    def test_disconnected_star_cluster_is_a_bug(self, monkeypatch):
+        monkeypatch.setattr("mistkernel.generate.is_connected", lambda g: False)
+        with pytest.raises(
+            InvariantError, match="^star-cluster construction came out disconnected$"
+        ):
+            generate("star-cluster", 10, seed=1)
 
 
 def test_public_names_resolve():

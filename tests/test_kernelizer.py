@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -31,7 +32,7 @@ from bruteforce import (
     random_spanning_tree,
     reference_rearrange,
 )
-from graphs import cluster_graph, star_graph
+from graphs import chained_clusters, cluster_graph, star_graph
 
 
 def double_star():
@@ -354,6 +355,16 @@ class TestLiftSolution:
             assert lifted.edges <= g.edges
             assert internal_count(lifted) >= internal_count(t) + delta
 
+    def test_trace_iterated_once(self):
+        # a trace given as an iterator lifts as the same trace as a tuple;
+        # the two 8-leaf stars of test_stacked_reductions
+        edges = [(0, 1)] + [(0, v) for v in range(2, 10)] + [(1, v) for v in range(10, 18)]
+        g = Graph(18, edges)
+        res = kernelize(g, 3)
+        assert len(res.trace) == 2
+        t = dfs_tree(res.graph, 0)
+        assert lift_solution(g, iter(res.trace), t) == lift_solution(g, res.trace, t)
+
     def test_tree_with_a_non_edge_rejected(self):
         # a tree of P4 over two non-edges, with no trace; and, after one
         # reduction, the kernel's DFS tree with (0, 3) swapped for the
@@ -372,6 +383,48 @@ class TestLiftSolution:
         for host, trace, t in cases:
             with pytest.raises(PreconditionError, match="not in the graph"):
                 lift_solution(host, trace, t)
+
+
+@pytest.fixture(scope="module")
+def chain():
+    """The chained clusters at c = 8 (n = 2400) and their kernelization."""
+    g = chained_clusters(8)
+    return g, kernelize(g, g.n // 3 - 1)
+
+
+class TestLiftChain:
+    def test_witness_is_pinned(self, chain):
+        # sha256 of a witness lifted through 18 reductions; the other pins
+        # lift through one or two
+        _, res = chain
+        assert res.outcome == "solved" and len(res.trace) == 18
+        digest = hashlib.sha256(repr(sorted(res.witness.edges)).encode())
+        assert digest.hexdigest() == (
+            "732df30c0f6ad3688f81d4a87047b6f87f59e8875d4ef9331e9cd9c7ef9e533f"
+        )
+
+    def test_memory_is_a_few_graphs(self, chain):
+        # Lifting keeps n and each u in N(S) \ L's lowest S-neighbour per
+        # reduction, so it holds the input, the graph being replayed and the
+        # trees: under 4 times the input.  Keeping all 18 replayed graphs
+        # peaked at 17 times it.
+        g, res = chain
+        cur = g
+        for cert in res.trace:
+            cur = replay_reduction(cur, cert)
+        t = dfs_tree(cur, 0)
+        del cur
+        tracemalloc.start()
+        try:
+            host = chained_clusters(8)  # a copy of g, built while traced
+            size = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            lifted = lift_solution(host, res.trace, t)
+            peak = tracemalloc.get_traced_memory()[1] - size
+        finally:
+            tracemalloc.stop()
+        assert lifted == res.witness
+        assert peak < 8 * size
 
 
 class TestRearrangeTree:
