@@ -169,8 +169,9 @@ def main(argv=None) -> int:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except MemoryError:
-        print("resource limit: out of memory", file=sys.stderr)
-        return EXIT_RESOURCE
+        # Report after the handler: until it ends, the exception's traceback
+        # keeps the failed call's frames, and the data they hold, alive.
+        pass
     except BrokenPipeError:
         # The reader has gone.  Point stdout at devnull, so that flushing
         # what is still buffered at interpreter exit fails quietly.
@@ -178,6 +179,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
+    print("resource limit: out of memory", file=sys.stderr)
+    return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

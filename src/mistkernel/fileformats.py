@@ -6,6 +6,9 @@ Edge lists look like::
     p <n> <m>
     e <u> <v>        (0 <= u < v < n, one line per edge, m lines)
 
+A comment is a whole line whose first non-blank character is ``#``; a
+``#`` after the fields of a header or edge line makes that line malformed.
+
 Serialization is canonical (edges sorted lexicographically) so identical
 graphs produce identical bytes.  A trace is one line of JSON with sorted
 keys.  It records every reduction step as its certificate (S, L, B(S, L)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import gc
-from collections import Counter, deque
+from collections import deque
 from operator import countOf, lt
 
 
@@ -120,19 +120,18 @@ class SpanningTree:
     against the discovery order.
     """
 
-    __slots__ = ("vertices", "edges", "_deg")
+    __slots__ = ("edges", "_deg")
 
     def __init__(self, vertices, edges):
-        vs = frozenset(vertices)
-        if not vs:
+        deg = dict.fromkeys(vertices, 0)
+        if not deg:
             raise PreconditionError("a tree needs at least one vertex")
         es = frozenset((u, v) if u < v else (v, u) for u, v in edges)
-        if len(es) != len(vs) - 1:
+        if len(es) != len(deg) - 1:
             raise PreconditionError(
-                f"tree on {len(vs)} vertices needs {len(vs) - 1} edges, got {len(es)}"
+                f"tree on {len(deg)} vertices needs {len(deg) - 1} edges, got {len(es)}"
             )
-        deg = {v: 0 for v in vs}
-        parent = {v: v for v in vs}
+        parent = {v: v for v in deg}
         for u, v in es:
             if u not in deg or v not in deg:
                 raise PreconditionError(f"edge ({u}, {v}) leaves the vertex set")
@@ -142,7 +141,6 @@ class SpanningTree:
             if ru == rv:
                 raise PreconditionError("edge set contains a cycle")
             parent[ru] = rv
-        self.vertices = vs
         self.edges = es
         self._deg = deg
 
@@ -171,14 +169,19 @@ class SpanningTree:
             )
         # degree: 1 for the edge to the parent (none at the root), plus 1
         # for each child
-        deg = Counter(dict.fromkeys(range(n), 1))
+        deg = dict.fromkeys(range(n), 1)
         deg[root] = 0
-        deg.update(ps)
+        for p in ps:
+            deg[p] += 1
         t = cls.__new__(cls)
-        t.vertices = frozenset(range(n))
         t.edges = frozenset((v, p) if v < p else (p, v) for v, p in zip(kids, ps))
-        t._deg = dict(deg)
+        t._deg = deg
         return t
+
+    @property
+    def vertices(self):
+        """The vertex set, as a read-only set view of the degree map."""
+        return self._deg.keys()
 
     def degree(self, v: int) -> int:
         return self._deg[v]
@@ -197,7 +200,7 @@ class SpanningTree:
         )
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash((len(self._deg), self.edges))
 
     def __repr__(self):
         return f"SpanningTree(|V|={len(self.vertices)})"
@@ -272,7 +275,7 @@ def internal_count(t: SpanningTree, subset=None) -> int:
 def _check_spans(g: Graph, t: SpanningTree) -> None:
     """PreconditionError unless t is a spanning tree of g: its vertices are
     0..n-1 and its edges are edges of g."""
-    if not (len(t.vertices) == g.n and t.vertices.issuperset(range(g.n))):
+    if not (len(t._deg) == g.n and all(map(t._deg.__contains__, range(g.n)))):
         raise PreconditionError("tree does not span the graph")
     if not t.edges <= g.edges:
         raise PreconditionError("tree has an edge that is not in the graph")

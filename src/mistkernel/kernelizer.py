@@ -1,7 +1,7 @@
 """Kernelization pipeline for the internal-spanning-tree decision problem.
 
-The reduction loop alternates three rules: stop when the graph is already
-small (n <= 3k), try to solve directly with a DFS tree, and otherwise
+The reduction loop alternates three rules: try to solve directly with a
+DFS tree, stop when the graph is already small (n <= 3k), and otherwise
 shrink the graph by replacing a certified (S, L) pair with two fresh
 vertices while adjusting the target k.  Every reduction is logged as its
 SLCertificate, from which the graph surgery is derived again, so kernel

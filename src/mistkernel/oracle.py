@@ -126,9 +126,11 @@ def hamiltonian_path(g: Graph) -> list[int] | None:
     path from d, so it lies in E: a second table grown from E answers.
     The first table is released before the second grows, so one table is
     the peak.  A graph on more than MAX_N vertices raises
-    ResourceLimitError.
+    ResourceLimitError, and one without vertices PreconditionError.
     """
     n = g.n
+    if n < 1:
+        raise PreconditionError("graph must have at least one vertex")
     if n > MAX_N:
         raise ResourceLimitError(f"graph exceeds the oracle size guard ({MAX_N})")
     forced = sum(1 << v for v in range(n) if g.degree(v) <= 1)  # D as a bitmask

@@ -42,6 +42,11 @@ class TestEdgeList:
         text = "# hello\n\np 3 2\n# mid\ne 0 1\ne 1 2\n"
         assert parse_edge_list(text) == Graph(3, [(0, 1), (1, 2)])
 
+    def test_trailing_comment_rejected(self):
+        # a comment takes a whole line; after an edge's fields it is malformed
+        with pytest.raises(FormatError, match="^bad edge line: 'e 0 1 # note'$"):
+            parse_edge_list("p 3 2\ne 0 1 # note\ne 1 2\n")
+
     def test_bad_header(self):
         with pytest.raises(FormatError):
             parse_edge_list("q 3 2\ne 0 1\ne 1 2\n")

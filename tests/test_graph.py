@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -214,6 +215,24 @@ class TestDfsTree:
         assert internal_count(dfs_tree(path_graph(n), n // 2)) == n - 2
         assert internal_count(dfs_tree(star_graph(n - 1), 0)) == 1
         assert internal_count(dfs_tree(star_graph(n - 1), n - 1)) == 1
+
+    def test_bytes_per_vertex(self):
+        # A tree keeps its vertices once, as the keys of its degree map.  On
+        # CPython 3.11 to 3.13 this tree holds 214 bytes per vertex and
+        # peaks at 287 while it is built (3.10: 206 and 275); a second copy
+        # of the vertex set, such as a frozenset beside the degree dict,
+        # breaks both bounds (288 and 404; 3.10: 276 and 389).
+        n = 100_000
+        g = generate("tree-plus", n, m=n * 6 // 5, seed=1)
+        tracemalloc.start()
+        try:
+            t = dfs_tree(g, 0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(t.edges) == n - 1
+        assert held / n <= 250
+        assert peak / n <= 340
 
 
 class TestFromParents:

@@ -173,6 +173,12 @@ class TestHamiltonianPath:
         with pytest.raises(ResourceLimitError):
             hamiltonian_path(path_graph(19))
 
+    def test_empty_graph_rejected(self):
+        # an empty graph is not an instance: opt_internal and kernelize refuse
+        # it too, where a None here would read as "no Hamiltonian path"
+        with pytest.raises(PreconditionError, match="at least one vertex"):
+            hamiltonian_path(Graph(0))
+
     def test_agrees_with_brute_force(self):
         rng = random.Random(71)
         graphs = []
